@@ -7,6 +7,11 @@ Two tiers deliberately share no code with the bounds machinery:
 * min_edges_exhaustive grows graphs one vertex at a time with isomorphism
   rejection per level, iterating an edge budget upward from the known
   value one order below.  The first budget admitting a graph is exact.
+  Isomorph rejection keys each graph by canonical_key: equitable
+  refinement plus individualisation-refinement, the core of nauty.  Each
+  call memoizes the key of every labelled graph it meets, because the
+  search replays the same levels for every budget and order; the memo
+  lives only as long as that call.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -20,7 +25,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .bounds import INF, L_MAX, N_MAX, BoundsTable, EBound, default_table, general_value
-from .graph import Graph, classify, write_graph6
+from .graph import Graph, _bits, classify, write_graph6
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -48,13 +53,6 @@ class OracleResult:
 # small helpers shared by both tiers
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _alpha_scan(adj: Sequence[int]) -> int:
     """Independence number by plain take/skip branching on the lowest bit.
 
@@ -79,74 +77,185 @@ def _alpha_scan(adj: Sequence[int]) -> int:
     return best
 
 
-# bit-reversal table for up to 12-bit signatures; longer ones fall back to
-# string reversal (placement prefixes that long do not occur in practice)
-_REV12 = [0] * 4096
-for _i in range(4096):
-    _v = 0
-    for _b in range(12):
-        if (_i >> _b) & 1:
-            _v |= 1 << (11 - _b)
-    _REV12[_i] = _v
+def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> None:
+    """Refine the ordered partition cells in place until it is equitable.
+
+    queue holds splitter vertex masks.  Each splitter splits every cell by
+    neighbour count into it, fragments in ascending count order, and the
+    fragments join the queue.  The first largest fragment is left out: it
+    is the split cell minus the others, and the split cell is a splitter
+    already (queued, done, or itself the difference of such).  Every step
+    depends only on the partition and the counts, so the outcome commutes
+    with relabelling.
+    """
+    m = len(adj)
+    while queue and len(cells) < m:
+        s = queue.pop()
+        out = []
+        for cell in cells:
+            if len(cell) > 1:
+                counts = [(adj[v] & s).bit_count() for v in cell]
+                if counts.count(counts[0]) != len(counts):
+                    groups: dict[int, list[int]] = {}
+                    for v, k in zip(cell, counts):
+                        if k in groups:
+                            groups[k].append(v)
+                        else:
+                            groups[k] = [v]
+                    frags = [groups[k] for k in sorted(groups)]
+                    out += frags
+                    big = max(frags, key=len)
+                    for frag in frags:
+                        if frag is not big:
+                            mask = 0
+                            for v in frag:
+                                mask |= 1 << v
+                            queue.append(mask)
+                    continue
+            out.append(cell)
+        cells[:] = out
 
 
-def _rev(x: int, p: int) -> int:
-    if p == 0:
-        return 0
-    if p <= 12:
-        return _REV12[x] >> (12 - p)
-    return int(format(x, f"0{p}b")[::-1], 2)
+def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of the graph relabelled so that order[i] becomes vertex i."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = []
+    for v in order:
+        row = 0
+        for w in nbrs[v]:
+            row |= 1 << pos[w]
+        rows.append(row)
+    return tuple(rows)
+
+
+def _orbits(m: int, gens: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Least vertex of each vertex's orbit under the group gens generate.
+
+    A generator is given by its moves (v, image of v), fixed points left out.
+    """
+    root = list(range(m))
+    for moves in gens:
+        for v, w in moves:
+            while root[v] != v:
+                v = root[v]
+            while root[w] != w:
+                w = root[w]
+            if v < w:
+                root[w] = v
+            elif w < v:
+                root[v] = w
+    for v in range(m):
+        root[v] = root[root[v]]
+    return root
+
+
+def _twins(adj: Sequence[int], cell: Sequence[int]) -> bool:
+    """Whether the vertices of cell share their open or their closed neighbourhood."""
+    row = adj[cell[0]]
+    if all(adj[v] == row for v in cell):
+        return True
+    row |= 1 << cell[0]
+    return all(adj[v] | 1 << v == row for v in cell)
+
+
+def _best_certificate(adj: Sequence[int], nbrs: Sequence[Sequence[int]], cells: list[list[int]]) -> tuple[int, ...]:
+    """Largest leaf certificate of the individualisation-refinement tree.
+
+    cells is the equitable partition at the root.  Twins may swap freely,
+    so every order inside a cell of twins gives the same certificate: a
+    node whose cells all hold twins (singletons included) is a leaf.  Any
+    other node individualises each vertex of its first cell not of twins
+    in turn, and refines with that singleton as the only splitter.
+
+    Two leaves with equal certificates give an automorphism mapping one
+    root path onto the other, so the later leaf's subtree below their
+    common ancestor repeats certificates already seen: the search jumps
+    back to that ancestor.  The automorphisms found so far that fix a
+    node's path pointwise prune its children to one per orbit.
+    """
+    m = len(adj)
+    gens: list[tuple[int, list[tuple[int, int]]]] = []  # (mask of moved vertices, moves)
+    leaves: list[tuple[tuple[int, ...], list[int], list[int]]] = []  # first and best leaf
+
+    def dive(cells: list[list[int]], path: list[int], fixed: int) -> int:
+        """Search below a node; return the depth at which the search resumes."""
+        depth = len(path)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and not _twins(adj, cell):
+                break
+        else:
+            order = [v for cell in cells for v in cell]
+            cert = _certificate(nbrs, order)
+            if not leaves:
+                leaves[:] = [(cert, order, path)] * 2
+                return depth
+            for ref_cert, ref_order, ref_path in leaves:
+                if cert == ref_cert:
+                    moves = [(a, b) for a, b in zip(ref_order, order) if a != b]
+                    moved = 0
+                    for a, _ in moves:
+                        moved |= 1 << a
+                    gens.append((moved, moves))
+                    d = 0
+                    while path[d] == ref_path[d]:
+                        d += 1
+                    return d
+            if cert > leaves[1][0]:
+                leaves[1] = (cert, order, path)
+            return depth
+        done: set[int] = set()  # orbit representatives of the children searched
+        orbit = list(range(m))
+        known = 0
+        for w in cell:
+            if done and known < len(gens):
+                known = len(gens)
+                orbit = _orbits(m, [moves for moved, moves in gens if not moved & fixed])
+                done = {orbit[x] for x in done}
+            if orbit[w] in done:
+                continue
+            done.add(orbit[w])
+            child = cells[:i] + [[w], [v for v in cell if v != w]] + cells[i + 1 :]
+            _refine(adj, child, [1 << w])
+            back = dive(child, path + [w], fixed | 1 << w)
+            if back < depth:
+                return back
+        return depth
+
+    dive(cells, [], 0)
+    return leaves[1][0]
 
 
 def canonical_key(adj: Sequence[int], n: int) -> tuple:
     """Isomorphism-invariant key: equal keys if and only if isomorphic.
 
-    Greedy max-lex placement: vertices are placed one at a time, always
-    choosing a next vertex whose adjacency row to the already-placed
-    prefix is lexicographically largest; all tied placements are carried
-    forward, so the resulting row sequence is a true maximum over vertex
-    orders.  Isolated vertices only contribute to the count.
+    Isolated vertices only contribute to the count n.  The m others are
+    refined to an equitable ordered partition, which is then searched by
+    individualisation-refinement with automorphism pruning (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014).  The key is
+    (n, m, *rows), where rows is the largest relabelled adjacency
+    certificate over the leaves of the search tree.  The tree, and so the
+    key, does not depend on the labelling.
     """
     verts = [v for v in range(n) if adj[v]]
     m = len(verts)
     if m == 0:
         return (n, 0)
-    index = {v: i for i, v in enumerate(verts)}
-    local = [0] * m
-    for v in verts:
-        row = 0
-        for w in _bits(adj[v]):
-            if w in index:
+    if m < n:
+        index = {v: i for i, v in enumerate(verts)}
+        local = [0] * m
+        for v in verts:
+            row = 0
+            for w in _bits(adj[v]):
                 row |= 1 << index[w]
-        local[index[v]] = row
-
-    rows: list[int] = []
-    frontier = {(0, (0,) * m)}
-    for step in range(m):
-        best_row = -1
-        nxt: set[tuple[int, tuple[int, ...]]] = set()
-        for mask, sigs in frontier:
-            for w in range(m):
-                if (mask >> w) & 1:
-                    continue
-                row = _rev(sigs[w], step)
-                if row < best_row:
-                    continue
-                new_sigs = list(sigs)
-                new_sigs[w] = 0
-                bit = 1 << step
-                for u in _bits(local[w]):
-                    if not (mask >> u) & 1 and u != w:
-                        new_sigs[u] |= bit
-                cand = (mask | (1 << w), tuple(new_sigs))
-                if row > best_row:
-                    best_row = row
-                    nxt = {cand}
-                else:
-                    nxt.add(cand)
-        rows.append(best_row)
-        frontier = nxt
-    return (n, m, *rows)
+            local[index[v]] = row
+    else:
+        local = adj
+    nbrs = [list(_bits(row)) for row in local]
+    cells = [list(range(m))]
+    _refine(local, cells, [(1 << m) - 1])
+    return (n, m, *_best_certificate(local, nbrs, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +313,20 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _round(l: int, m: int, t: int, floors: Sequence[int], counter: list[int], budget: int):
-    """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None."""
+def _round(
+    l: int,
+    m: int,
+    t: int,
+    floors: Sequence[int],
+    counter: list[int],
+    budget: int,
+    keys: dict[tuple[int, ...], tuple],
+):
+    """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None.
+
+    keys maps labelled adjacency tuples to their canonical keys; it is
+    shared by every round of one search.
+    """
     kmax = l - 1
     states: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for p in range(m):
@@ -239,9 +360,12 @@ def _round(l: int, m: int, t: int, floors: Sequence[int], counter: list[int], bu
                         # completion, and it stays below independence l
                         child.extend([0] * rem)
                         return child
-                    key = canonical_key(child, p + 1)
+                    labelled = tuple(child)
+                    key = keys.get(labelled)
+                    if key is None:
+                        key = keys[labelled] = canonical_key(child, p + 1)
                     if key not in nxt:
-                        nxt[key] = (tuple(child), ep + size)
+                        nxt[key] = (labelled, ep + size)
                 if size == min(kmax, len(elig)):
                     break
                 bigger = []
@@ -262,7 +386,9 @@ def _round(l: int, m: int, t: int, floors: Sequence[int], counter: list[int], bu
     return None
 
 
-def _solve(l: int, m: int, counter: list[int], budget: int) -> tuple[int | float, tuple[int, ...] | None]:
+def _solve(
+    l: int, m: int, counter: list[int], budget: int, keys: dict[tuple[int, ...], tuple]
+) -> tuple[int | float, tuple[int, ...] | None]:
     if m == 0:
         return 0, ()
     prev, _ = _CACHE[(l, m - 1)]
@@ -274,7 +400,7 @@ def _solve(l: int, m: int, counter: list[int], budget: int) -> tuple[int | float
     kmax = l - 1
     tmax = min(m * kmax // 2, m * m // 4)
     for t in range(int(prev), tmax + 1):
-        wit = _round(l, m, t, floors, counter, budget)
+        wit = _round(l, m, t, floors, counter, budget, keys)
         if wit is not None:
             return t, tuple(wit)
     return INF, None
@@ -286,15 +412,18 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     Iterates the edge budget upward from the value one order below, so the
     first admitted graph is automatically minimal.  Values and witnesses
     are memoized per (l, n); nodes counts only the work done by this call.
+    Canonical keys are memoized per labelled graph for this call only, so
+    the memo never outgrows one search.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     counter = [0]
+    keys: dict[tuple[int, ...], tuple] = {}
     for m in range(n + 1):
         if (l, m) not in _CACHE:
-            _CACHE[(l, m)] = _solve(l, m, counter, budget)
+            _CACHE[(l, m)] = _solve(l, m, counter, budget, keys)
     value, wadj = _CACHE[(l, n)]
     witness = None
     if wadj is not None:

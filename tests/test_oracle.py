@@ -1,9 +1,13 @@
 import math
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trifree.bounds import BoundsTable, default_table
+from trifree.constructions import circulant, twisted_tesseract, w13
 from trifree.graph import Graph, classify, is_triangle_free, write_graph6
 from trifree.oracle import (
     CrossReport,
@@ -16,7 +20,7 @@ from trifree.oracle import (
     naive_min_edges,
 )
 
-from helpers import random_triangle_free
+from helpers import complete_bipartite, cycle, random_triangle_free
 
 INF = math.inf
 
@@ -68,6 +72,10 @@ def all_graphs(n):
         yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+def relabelled(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 class TestCanonicalKey:
     # unlabeled triangle-free graph counts on n = 1..6 vertices
     COUNTS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38}
@@ -88,8 +96,7 @@ class TestCanonicalKey:
             g = random_triangle_free(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
-            h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-            assert canonical_key(g.adj, n) == canonical_key(h.adj, n)
+            assert canonical_key(g.adj, n) == canonical_key(relabelled(g, perm).adj, n)
 
     def test_isolated_vertices_affect_only_order(self):
         c5 = [0b00110, 0b01001, 0b10001, 0b00010, 0b00100]
@@ -100,7 +107,101 @@ class TestCanonicalKey:
         assert k5[1:] == k7[1:]
 
 
+def andrasfai(k):
+    n = 3 * k - 1
+    return circulant(n, range(1, n // 2 + 1, 3))
+
+
+def disjoint_union(parts):
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+# families whose large automorphism groups exercise the search's pruning,
+# alone and in disjoint unions, where components of one degree share a cell
+SYMMETRIC_PART = st.one_of(
+    st.integers(1, 8).map(lambda k: Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)).map(lambda ab: complete_bipartite(*ab)),
+    st.integers(3, 20).map(cycle),
+    st.integers(2, 7).map(andrasfai),
+    st.sampled_from([w13(), twisted_tesseract()]),
+)
+SYMMETRIC = st.lists(SYMMETRIC_PART, min_size=1, max_size=3).map(disjoint_union).filter(lambda g: g.n <= 40)
+
+
+@pytest.fixture(scope="module")
+def triangle_free_classes():
+    """One representative per isomorphism class of triangle-free graphs, n = 1..8.
+
+    Each order extends every representative of the order below by a vertex
+    joined to an independent set, and keeps the first graph of each key.
+    """
+    reps = {1: [(0,)]}
+    for n in range(1, 8):
+        found = {}
+        for adj in reps[n]:
+            for nbhd in range(1 << n):
+                if any(nbhd >> v & 1 and adj[v] & nbhd for v in range(n)):
+                    continue
+                child = [row | (nbhd >> v & 1) << n for v, row in enumerate(adj)] + [nbhd]
+                found.setdefault(canonical_key(child, n + 1), tuple(child))
+        reps[n + 1] = list(found.values())
+    return reps
+
+
+class TestCanonicalKeyAgainstNetworkx:
+    def test_atlas_keys_distinct_and_relabel_invariant(self):
+        rng = random.Random(1301)
+        keys = set()
+        atlas = nx.graph_atlas_g()
+        assert len(atlas) == 1253
+        for h in atlas:
+            g = Graph(h.number_of_nodes(), h.edges())
+            key = canonical_key(g.adj, g.n)
+            keys.add(key)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_key(relabelled(g, perm).adj, g.n) == key
+        assert len(keys) == len(atlas)
+
+    def test_triangle_free_class_counts(self, triangle_free_classes):
+        # OEIS A006785
+        counts = {n: len(reps) for n, reps in triangle_free_classes.items()}
+        assert counts == {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410}
+
+    def test_representatives_pairwise_non_isomorphic(self, triangle_free_classes):
+        by_degrees = {}
+        for adj in triangle_free_classes[8]:
+            g = Graph.from_adj(adj)
+            h = nx.empty_graph(g.n)
+            h.add_edges_from(g.edges())
+            by_degrees.setdefault(tuple(sorted(g.degrees())), []).append(h)
+        for group in by_degrees.values():
+            for a, b in combinations(group, 2):
+                assert not nx.is_isomorphic(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=SYMMETRIC, data=st.data())
+    def test_relabel_invariance_symmetric_families(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        assert canonical_key(relabelled(g, perm).adj, g.n) == canonical_key(g.adj, g.n)
+
+
 class TestExhaustive:
+    @pytest.mark.parametrize(
+        "l, n, value, nodes, graph6",
+        [(6, 11, 8, 10837, b"J?AA@?Oa?W?"), (7, 12, 6, 6450, b"K??CA?_C?O?_")],
+    )
+    def test_cold_search_pinned(self, l, n, value, nodes, graph6):
+        # the key classes, and so the search order, witnesses and node counts,
+        # must not depend on how canonical_key computes its keys
+        clear_cache()
+        res = min_edges_exhaustive(l, n)
+        assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
+
     def test_reference_value_and_witness(self):
         res = min_edges_exhaustive(4, 8)
         assert res.value == 10
