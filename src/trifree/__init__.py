@@ -17,12 +17,10 @@ from .bounds import (
     conjectured_lower,
     default_table,
     formula_floor,
-    general_value,
     lower_bound_basic,
     lower_bound_global,
     lower_bound_steep,
     lower_bound_steeper,
-    ramsey_interval,
 )
 from .constructions import PatternSummary, circulant, pattern_predict, twisted_tesseract, w13
 from .feasibility import (
@@ -41,6 +39,7 @@ from .graph import (
     Graph6Error,
     GraphClass,
     classify,
+    decode_graph6,
     edge_slack,
     find_induced_k24,
     independence_number,
@@ -88,13 +87,13 @@ __all__ = [
     "classify",
     "conjectured_lower",
     "cross_validate",
+    "decode_graph6",
     "default_table",
     "degree_cap",
     "edge_slack",
     "enumerate_feasible",
     "find_induced_k24",
     "formula_floor",
-    "general_value",
     "independence_number",
     "is_triangle_free",
     "lower_bound_basic",
@@ -106,7 +105,6 @@ __all__ = [
     "parse_graph6",
     "pattern_predict",
     "raise_lower_bound",
-    "ramsey_interval",
     "reduced_graph",
     "second_degree",
     "total_defect",

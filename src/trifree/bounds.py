@@ -9,6 +9,12 @@ independent set actually allowed.
 Everything here is exact: the piecewise-linear floors are evaluated over
 the rationals, and floats never enter the arithmetic.  math.inf is used
 purely as the "no such graph" sentinel.
+
+The Ramsey intervals, the table domain and the JSON endpoint format are
+known only to this module; other modules ask a BoundsTable.  The intervals
+live in the bounds data file and nowhere in code, so a table loaded from
+another file governs every floor it serves, inside the tabulated domain
+and beyond it.
 """
 
 from __future__ import annotations
@@ -78,36 +84,6 @@ def conjectured_lower(n: int, k: int) -> Fraction:
     a count is needed.  Kept strictly out of the bound computations.
     """
     return max(lower_bound_steep(n, k), lower_bound_steeper(n, k))
-
-
-# ---------------------------------------------------------------------------
-# Ramsey thresholds
-
-_RAMSEY: dict[int, tuple[int, int | None]] = {
-    2: (3, 3),
-    3: (6, 6),
-    4: (9, 9),
-    5: (14, 14),
-    6: (18, 18),
-    7: (23, 23),
-    8: (28, 28),
-    9: (36, 36),
-    10: (40, 42),
-    11: (44, None),
-    12: (44, None),
-    13: (44, None),
-}
-
-
-def ramsey_interval(l: int) -> tuple[int, int | None]:
-    """Known interval lo <= R(3, l) <= hi; hi is None when unbounded above.
-
-    For l beyond the tabulated range the l = 13 floor of 44 carries upward
-    by monotonicity of R(3, l) in l.
-    """
-    if l < 2:
-        raise ValueError(f"Ramsey interval needs l >= 2, got {l}")
-    return _RAMSEY.get(l, (44, None))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +187,12 @@ class EBound:
 def general_value(k: int, n: int, ramsey: tuple[int, int | None] | None = None) -> EBound:
     """Formula-only bound on e(k+1, n), usable at any order.
 
-    The optional ramsey override substitutes a different existence
-    interval; by default the embedded one for l = k + 1 is used.
+    ramsey is the existence interval for R(3, k + 1); by default it is
+    read from the packaged table.  BoundsTable.bound passes its own.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got k={k} n={n}")
-    lo_r, hi_r = ramsey if ramsey is not None else ramsey_interval(k + 1)
+    lo_r, hi_r = ramsey if ramsey is not None else default_table().ramsey_range(k + 1)
     if hi_r is not None and n >= hi_r:
         return EBound(INF, INF, STATUS_INFINITE, ("ramsey",))
     value, exact = _window_case(n, k)
@@ -243,23 +219,30 @@ class CellRecord:
     source: str = ""
 
 
-def _record_from_json(obj: dict) -> CellRecord:
-    def endpoint(value, what):
-        if value is None:
-            return None
-        if value == "inf":
-            return INF
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise DataConflictError(f"bad {what} endpoint {value!r}")
+def endpoint_to_json(value: int | float | None) -> int | str | None:
+    """JSON form of a bound endpoint: infinity becomes "inf", None stays null."""
+    return "inf" if value == INF else value
 
+
+def endpoint_from_json(value, what: str = "bound") -> int | float | None:
+    """Inverse of endpoint_to_json; anything but null, "inf" or an int is an error."""
+    if value is None:
+        return None
+    if value == "inf":
+        return INF
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DataConflictError(f"bad {what} endpoint {value!r}")
+
+
+def _record_from_json(obj: dict) -> CellRecord:
     try:
         l = int(obj["l"])
         n = int(obj["n"])
     except (KeyError, TypeError, ValueError) as ex:
         raise DataConflictError(f"cell record missing l/n: {obj!r}") from ex
-    lower = endpoint(obj.get("lower"), "lower")
-    upper = endpoint(obj.get("upper"), "upper")
+    lower = endpoint_from_json(obj.get("lower"), "lower")
+    upper = endpoint_from_json(obj.get("upper"), "upper")
     if lower is None:
         raise DataConflictError(f"cell ({l},{n}) has no lower endpoint")
     return CellRecord(
@@ -274,6 +257,10 @@ def _record_from_json(obj: dict) -> CellRecord:
 
 class BoundsTable:
     """Formulas, Ramsey thresholds and sporadic records merged per cell.
+
+    This is the one source of bounds facts at every order: lookup serves
+    the tabulated domain strictly, while bound and finite_lower also answer
+    beyond it from the formulas and this table's Ramsey intervals.
 
     The merge is eager: every cell in 2 <= l <= 13, 1 <= n <= 43 is
     computed at load time and any contradiction (a sporadic lower above a
@@ -315,20 +302,17 @@ class BoundsTable:
                     raise DataConflictError(f"record ({rec.l},{rec.n}) has lower {rec.lower} above upper {rec.upper}")
             self._records[key] = rec
 
-        # effective start of the infinite region per column: the Ramsey
-        # upper bound, pulled down by any explicit infinite record
-        self._eff_hi: dict[int, int | None] = {}
-        for l in range(L_MIN, L_MAX + 1):
-            lo, hi = self._ramsey[l]
-            eff = hi
-            for (rl, rn), rec in self._records.items():
-                if rl == l and rec.lower == INF:
-                    if rn < lo:
-                        raise DataConflictError(
-                            f"record ({rl},{rn}) claims nonexistence below the Ramsey floor {lo}"
-                        )
-                    eff = rn if eff is None else min(eff, rn)
-            self._eff_hi[l] = eff
+        # an explicit infinite record at (l, n) proves R(3, l) <= n, so it
+        # pulls the upper end of the column's interval down
+        for (rl, rn), rec in self._records.items():
+            if rec.lower == INF:
+                lo, hi = self._ramsey[rl]
+                if rn < lo:
+                    raise DataConflictError(
+                        f"record ({rl},{rn}) claims nonexistence below the Ramsey floor {lo}"
+                    )
+                if hi is None or rn < hi:
+                    self._ramsey[rl] = (lo, rn)
 
         self._cells: dict[tuple[int, int], EBound] = {}
         for l in range(L_MIN, L_MAX + 1):
@@ -337,20 +321,19 @@ class BoundsTable:
 
     def _merge_cell(self, l: int, n: int) -> EBound:
         k = l - 1
-        lo_r, _ = self._ramsey[l]
-        eff_hi = self._eff_hi[l]
+        lo_r, hi_r = self._ramsey[l]
         rec = self._records.get((l, n))
 
-        if eff_hi is not None and n >= eff_hi:
+        if hi_r is not None and n >= hi_r:
             if rec is not None and rec.lower != INF:
-                raise DataConflictError(f"finite record ({l},{n}) inside the infinite region (n >= {eff_hi})")
+                raise DataConflictError(f"finite record ({l},{n}) inside the infinite region (n >= {hi_r})")
             tags = ("sporadic-table", "ramsey") if rec is not None else ("ramsey",)
             return EBound(INF, INF, STATUS_INFINITE, tags)
 
         floor, exact = _window_case(n, k)
         rec_lower = rec.lower if rec is not None else 0
         if rec_lower == INF:
-            # an infinite record below eff_hi is impossible by construction
+            # an infinite record below hi_r is impossible by construction
             raise DataConflictError(f"record ({l},{n}) infinite below the effective threshold")
         lower = max(floor, rec_lower)
 
@@ -419,16 +402,31 @@ class BoundsTable:
         with open(path, "r", encoding="utf-8") as fh:
             return cls._from_json_text(fh.read())
 
-    @classmethod
-    def default(cls) -> "BoundsTable":
-        return default_table()
-
     # queries
 
     def ramsey_range(self, l: int) -> tuple[int, int | None]:
-        if l not in self._ramsey:
-            raise ValueError(f"l={l} outside the tabulated range {L_MIN}..{L_MAX}")
+        """Known interval lo <= R(3, l) <= hi; hi is None when unbounded above.
+
+        hi already reflects any explicit infinite record in the column.
+        Past the last tabulated column its lower bound carries upward, since
+        R(3, l) grows with l.
+        """
+        if l < L_MIN:
+            raise ValueError(f"Ramsey interval needs l >= {L_MIN}, got {l}")
+        if l > L_MAX:
+            return self._ramsey[L_MAX][0], None
         return self._ramsey[l]
+
+    def bound(self, l: int, n: int) -> EBound:
+        """Best known bound on e(l, n) at any order.
+
+        Inside the tabulated domain this is the merged cell; outside it, the
+        formulas under this table's Ramsey interval for l.
+        """
+        cell = self._cells.get((l, n))
+        if cell is not None:
+            return cell
+        return general_value(l - 1, n, self.ramsey_range(l))
 
     def lookup(self, l: int, n: int) -> EBound:
         try:
@@ -445,7 +443,8 @@ class BoundsTable:
         """Largest finite lower bound known, ignoring nonexistence knowledge.
 
         This is the right scan floor for feasibility searches: if a graph
-        exists at all it has at least this many edges.
+        exists at all it has at least this many edges.  Outside the
+        tabulated domain no record exists, so it is the formula floor.
         """
         lower = formula_floor(l - 1, n)
         rec = self._records.get((l, n))
@@ -500,7 +499,7 @@ class BoundsTable:
             cells = []
             for l in ls:
                 for n in ns:
-                    cells.append(_cell_to_json(l, n, self._cells[(l, n)]))
+                    cells.append(cell_to_json(l, n, self._cells[(l, n)]))
             payload = {
                 "version": self.version,
                 "l_range": [l_lo, l_hi],
@@ -533,19 +532,13 @@ class BoundsTable:
         return "\n".join(lines) + "\n"
 
 
-def _cell_to_json(l: int, n: int, cell: EBound) -> dict:
-    def endpoint(v):
-        if v is None:
-            return None
-        if v == INF:
-            return "inf"
-        return v
-
+def cell_to_json(l: int, n: int, cell: EBound) -> dict:
+    """One cell as a JSON object; cells_from_json reads a list of these back."""
     return {
         "l": l,
         "n": n,
-        "lower": endpoint(cell.lower),
-        "upper": endpoint(cell.upper),
+        "lower": endpoint_to_json(cell.lower),
+        "upper": endpoint_to_json(cell.upper),
         "status": cell.status,
         "provenance": list(cell.provenance),
         "display": cell.display(),
@@ -555,19 +548,11 @@ def _cell_to_json(l: int, n: int, cell: EBound) -> dict:
 def cells_from_json(text: str) -> dict[tuple[int, int], EBound]:
     """Parse emit(..., fmt="json") output back into structured cells."""
     obj = json.loads(text)
-
-    def endpoint(v):
-        if v is None:
-            return None
-        if v == "inf":
-            return INF
-        return int(v)
-
     out = {}
     for cell in obj["cells"]:
         out[(int(cell["l"]), int(cell["n"]))] = EBound(
-            endpoint(cell["lower"]),
-            endpoint(cell["upper"]),
+            endpoint_from_json(cell["lower"], "lower"),
+            endpoint_from_json(cell["upper"], "upper"),
             cell["status"],
             tuple(cell["provenance"]),
         )

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .bounds import INF, BoundsTable, DataConflictError, _cell_to_json, default_table
+from .bounds import INF, BoundsTable, DataConflictError, cell_to_json, default_table, endpoint_to_json
 from .constructions import circulant, twisted_tesseract, w13
 from .feasibility import (
     ALL_REFINEMENTS,
@@ -23,8 +23,8 @@ from .feasibility import (
 )
 from .graph import (
     Graph6Error,
-    _decode_line,
     classify,
+    decode_graph6,
     edge_slack,
     find_induced_k24,
     second_degree,
@@ -107,12 +107,6 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _json_value(v):
-    if v == INF:
-        return "inf"
-    return v
-
-
 def _report_payload(rep: DefectReport) -> dict:
     return {
         "distribution": {str(d): c for d, c in rep.distribution.counts},
@@ -137,7 +131,7 @@ def cmd_bounds(args) -> int:
     table = _load_table(args)
     cell = table.lookup(args.l, args.n)
     if args.format == "json":
-        payload = {"version": SCHEMA_VERSION, **_cell_to_json(args.l, args.n, cell)}
+        payload = {"version": SCHEMA_VERSION, **cell_to_json(args.l, args.n, cell)}
         print(json.dumps(payload, ensure_ascii=False))
     else:
         print(cell.display())
@@ -261,7 +255,7 @@ def cmd_verify(args) -> int:
             if not line:
                 continue
             try:
-                g = _decode_line(line, where=f" (line {no})")
+                g = decode_graph6(line, where=f" (line {no})")
             except Graph6Error as exc:
                 parse_errors += 1
                 print(f"error: {exc}", file=sys.stderr)
@@ -338,7 +332,7 @@ def cmd_raise(args) -> int:
             "l": args.l,
             "n": args.n,
             "refinements": sorted(refinements),
-            "value": _json_value(value),
+            "value": endpoint_to_json(value),
             "first_distribution": _report_payload(first) if first else None,
         }
         print(json.dumps(payload, ensure_ascii=False, indent=2))
@@ -365,7 +359,7 @@ def cmd_oracle(args) -> int:
             "version": SCHEMA_VERSION,
             "l": args.l,
             "n": args.n,
-            "value": _json_value(res.value),
+            "value": endpoint_to_json(res.value),
             "nodes": res.nodes,
             "graph6": g6,
         }

@@ -22,17 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .bounds import (
-    INF,
-    L_MAX,
-    L_MIN,
-    N_MAX,
-    N_MIN,
-    BoundsTable,
-    default_table,
-    formula_floor,
-    general_value,
-)
+from .bounds import INF, BoundsTable, default_table
 
 DEFAULT_REFINEMENTS = frozenset({"r1"})
 ALL_REFINEMENTS = frozenset({"r1", "r2", "r3"})
@@ -107,20 +97,35 @@ class DefectReport:
     cap_sources: tuple[tuple[int, str], ...]
 
 
-def _min_edges_floor(l: int, m: int, table: BoundsTable) -> tuple[int | float, str]:
-    """Best known lower bound on e(l, m), with a short provenance note."""
-    if m <= 0:
-        return 0, "trivial"
-    if l < 1:
-        raise UnknownRegionError(f"no edge floors below l=1, got l={l}")
-    if l == 1:
+def _check_order(l: int, n: int, e: int = 0) -> None:
+    if l < 2:
+        raise UnknownRegionError(f"reduced graphs need l >= 2, got l={l}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if e < 0:
+        raise ValueError(f"need e >= 0, got {e}")
+
+
+def _cap(l: int, n: int, e: int, d: int, table: BoundsTable) -> tuple[int | None, str]:
+    """Second-degree budget of a degree-d vertex, and where its edge floor came from.
+
+    The floor is the table's bound on the reduced graph, e(l - 1, n - 1 - d);
+    the budget is None when that graph cannot exist.
+    """
+    _check_order(l, n, e)
+    if not 0 <= d <= min(l - 1, n - 1):
+        raise ValueError(f"degree {d} outside 0..min(l-1, n-1) = {min(l - 1, n - 1)}")
+    m = n - 1 - d
+    if m == 0:
+        return e, "trivial"
+    if l == 2:
         # a single vertex is already an independent set
-        return INF, "trivial"
-    if l <= L_MAX and m <= N_MAX:
-        cell = table.lookup(l, m)
-        return cell.lower, ",".join(cell.provenance)
-    cell = general_value(l - 1, m)
-    return cell.lower, ",".join(cell.provenance)
+        return None, "trivial"
+    cell = table.bound(l - 1, m)
+    source = ",".join(cell.provenance)
+    if cell.lower == INF:
+        return None, source
+    return e - cell.lower, source
 
 
 def degree_cap(l: int, n: int, e: int, d: int, table: BoundsTable | None = None) -> int | None:
@@ -132,18 +137,7 @@ def degree_cap(l: int, n: int, e: int, d: int, table: BoundsTable | None = None)
     """
     if table is None:
         table = default_table()
-    if l < 2:
-        raise UnknownRegionError(f"reduced graphs need l >= 2, got l={l}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if e < 0:
-        raise ValueError(f"need e >= 0, got {e}")
-    if not 0 <= d <= min(l - 1, n - 1):
-        raise ValueError(f"degree {d} outside 0..min(l-1, n-1) = {min(l - 1, n - 1)}")
-    lb, _ = _min_edges_floor(l - 1, n - 1 - d, table)
-    if lb == INF:
-        return None
-    return e - lb
+    return _cap(l, n, e, d, table)[0]
 
 
 def total_defect(
@@ -164,8 +158,7 @@ def total_defect(
     sources = []
     impossible = None
     for d, _ in dist.counts:
-        cap = degree_cap(l, n, e, d, table)
-        _, src = _min_edges_floor(l - 1, n - 1 - d, table)
+        cap, src = _cap(l, n, e, d, table)
         caps.append((d, cap))
         sources.append((d, src))
         if cap is None and impossible is None:
@@ -297,22 +290,15 @@ def enumerate_feasible(
     unknown = refset - ALL_REFINEMENTS
     if unknown:
         raise ValueError(f"unknown refinements: {sorted(unknown)}")
-    if l < 2:
-        raise UnknownRegionError(f"reduced graphs need l >= 2, got l={l}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if e < 0:
-        raise ValueError(f"need e >= 0, got {e}")
+    _check_order(l, n, e)
 
-    dmax = min(l - 1, n - 1)
     caps: dict[int, int] = {}
     sources: dict[int, str] = {}
-    for d in range(dmax + 1):
-        lb, src = _min_edges_floor(l - 1, n - 1 - d, table)
-        if lb == INF:
-            continue
-        caps[d] = e - lb
-        sources[d] = src
+    for d in range(min(l - 1, n - 1) + 1):
+        cap, src = _cap(l, n, e, d, table)
+        if cap is not None:
+            caps[d] = cap
+            sources[d] = src
     degs = sorted(caps)
     if not degs:
         return []
@@ -398,14 +384,8 @@ def raise_lower_bound(
     """
     if table is None:
         table = default_table()
-    if l < 2:
-        raise UnknownRegionError(f"reduced graphs need l >= 2, got l={l}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if L_MIN <= l <= L_MAX and N_MIN <= n <= N_MAX:
-        start = table.finite_lower(l, n)
-    else:
-        start = formula_floor(l - 1, n)
+    _check_order(l, n)
+    start = table.finite_lower(l, n)
     # max degree l-1 and simple-graph limits bound the scan
     stop = min(n * (l - 1), n * (n - 1)) // 2
     for e in range(start, stop + 1):

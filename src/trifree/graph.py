@@ -326,7 +326,12 @@ def write_graph6(g: Graph) -> bytes:
     return bytes(out)
 
 
-def _decode_line(line: bytes, where: str = "") -> Graph:
+def decode_graph6(line: bytes, where: str = "") -> Graph:
+    """Decode one graph6 record, with or without the >>graph6<< header.
+
+    The line must already be stripped of whitespace.  where is appended
+    to every error message, e.g. " (line 7)".
+    """
     s = line
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
@@ -385,5 +390,5 @@ def parse_graph6(data: bytes | str) -> list[Graph]:
         line = raw.strip()
         if not line:
             continue
-        graphs.append(_decode_line(line, where=f" (line {no})"))
+        graphs.append(decode_graph6(line, where=f" (line {no})"))
     return graphs

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .bounds import INF, L_MAX, N_MAX, BoundsTable, EBound, default_table, general_value
+from .bounds import INF, STATUS_EXACT, STATUS_INFINITE, STATUS_OPEN, BoundsTable, EBound, default_table
 from .graph import Graph, _bits, classify, write_graph6
 
 DEFAULT_BUDGET = 5_000_000
@@ -462,11 +462,11 @@ class CrossReport:
 
 
 def _consistent(value: int | float, bound: EBound) -> bool:
-    if bound.status == "exact":
+    if bound.status == STATUS_EXACT:
         return value == bound.lower
-    if bound.status == "infinite":
+    if bound.status == STATUS_INFINITE:
         return value == INF
-    if bound.status == "open-above":
+    if bound.status == STATUS_OPEN:
         return value == INF or value >= bound.lower
     if value == INF:
         # a finite-range cell asserts existence
@@ -494,10 +494,7 @@ def cross_validate(
         for n in range(1, n_max + 1):
             res = min_edges_exhaustive(l, n, budget)
             nodes += res.nodes
-            if 2 <= l <= L_MAX and 1 <= n <= N_MAX:
-                bound = table.lookup(l, n)
-            else:
-                bound = general_value(l - 1, n)
+            bound = table.bound(l, n)
             ok = _consistent(res.value, bound)
             if ok and res.value != INF:
                 cls = classify(res.witness)

@@ -7,13 +7,13 @@ from trifree.bounds import (
     INF,
     EBound,
     conjectured_lower,
+    default_table,
     formula_floor,
     general_value,
     lower_bound_basic,
     lower_bound_global,
     lower_bound_steep,
     lower_bound_steeper,
-    ramsey_interval,
 )
 
 
@@ -45,22 +45,23 @@ class TestLinearForms:
 
 class TestRamseyIntervals:
     def test_known_points(self):
-        assert ramsey_interval(2) == (3, 3)
-        assert ramsey_interval(3) == (6, 6)
-        assert ramsey_interval(4) == (9, 9)
-        assert ramsey_interval(5) == (14, 14)
-        assert ramsey_interval(6) == (18, 18)
-        assert ramsey_interval(9) == (36, 36)
-        assert ramsey_interval(10) == (40, 42)
-        assert ramsey_interval(11) == (44, None)
+        ramsey_range = default_table().ramsey_range
+        assert ramsey_range(2) == (3, 3)
+        assert ramsey_range(3) == (6, 6)
+        assert ramsey_range(4) == (9, 9)
+        assert ramsey_range(5) == (14, 14)
+        assert ramsey_range(6) == (18, 18)
+        assert ramsey_range(9) == (36, 36)
+        assert ramsey_range(10) == (40, 42)
+        assert ramsey_range(11) == (44, None)
 
     def test_monotone_tail(self):
-        assert ramsey_interval(14) == (44, None)
-        assert ramsey_interval(50) == (44, None)
+        assert default_table().ramsey_range(14) == (44, None)
+        assert default_table().ramsey_range(50) == (44, None)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            ramsey_interval(1)
+            default_table().ramsey_range(1)
 
 
 class TestFormulaFloor:
@@ -146,7 +147,7 @@ class TestGeneralValue:
         # status must come out exact
         for k in range(1, 13):
             l = k + 1
-            lo, _ = ramsey_interval(l)
+            lo, _ = default_table().ramsey_range(l)
             for n in range(1, 44):
                 if 4 * n <= 13 * k + 6 and n < lo:
                     assert general_value(k, n).status == "exact", (k, n)

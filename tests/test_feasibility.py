@@ -1,7 +1,10 @@
+import json
 import math
+from importlib import resources
 
 import pytest
 
+from trifree.bounds import BoundsTable
 from trifree.constructions import twisted_tesseract, w13
 from trifree.feasibility import (
     ALL_REFINEMENTS,
@@ -70,6 +73,34 @@ class TestDegreeCap:
         # the reduced graph falls outside the curated table, so the budget
         # comes from the closed-form floor
         assert degree_cap(14, 50, 200, 13) == 140
+
+
+class TestDataOverrideOffTable:
+    """A data file's Ramsey interval governs floors past the tabulated rows too."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        # R(3,11) = 43 makes e(11, n) infinite for every n >= 43; the l=11
+        # records it contradicts are dropped
+        text = resources.files("trifree").joinpath("data/bounds_table.json").read_text(encoding="utf-8")
+        data = json.loads(text)
+        data["ramsey"]["11"] = [43, 43]
+        data["cells"] = [c for c in data["cells"] if not (c["l"] == 11 and c["n"] >= 43)]
+        path = tmp_path / "r311.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return BoundsTable.from_file(path)
+
+    def test_degree_cap(self, table):
+        # a degree-0 vertex leaves a 44-vertex reduced graph at l = 11
+        assert degree_cap(12, 45, 140, 0) == -4
+        assert degree_cap(12, 45, 140, 0, table=table) is None
+
+    def test_total_defect(self, table):
+        dist = DegreeDistribution.from_dict({0: 1, 6: 28, 7: 16})
+        rep = total_defect(dist, 12, 45, 140, table=table)
+        assert rep.eliminated_by == "impossible-degree:0"
+        assert dict(rep.caps)[0] is None
+        assert dict(rep.cap_sources)[0] == "ramsey"
 
 
 FIVE_AT_41 = [

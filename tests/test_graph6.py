@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from trifree.constructions import w13
-from trifree.graph import Graph, Graph6Error, parse_graph6, write_graph6
+from trifree.graph import Graph, Graph6Error, decode_graph6, parse_graph6, write_graph6
 
 from helpers import complete_bipartite, cycle, random_graph
 
@@ -40,6 +40,13 @@ class TestRoundTrip:
             if n >= 63:
                 assert data.startswith(b"~")
             assert parse_graph6(data) == [g]
+
+    def test_decode_one_record(self):
+        g = w13()
+        assert decode_graph6(write_graph6(g)) == g
+        assert decode_graph6(b">>graph6<<" + write_graph6(g)) == g
+        with pytest.raises(Graph6Error, match=r"\(line 7\)"):
+            decode_graph6(b"A", where=" (line 7)")
 
     def test_multi_line_and_header(self):
         chunk = b">>graph6<<A_\nA?\n\nDhc\n"

@@ -10,7 +10,10 @@ from trifree.bounds import (
     DataConflictError,
     cells_from_json,
     default_table,
+    endpoint_from_json,
+    endpoint_to_json,
     formula_floor,
+    general_value,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -84,6 +87,17 @@ class TestLookup:
         assert table.finite_lower(7, 23) == formula_floor(6, 23)
         assert table.finite_lower(11, 41) == 139
 
+    def test_bound_at_any_order(self, table):
+        for l, n, cell in table.cells():
+            assert table.bound(l, n) is cell
+        assert table.bound(14, 50) == general_value(13, 50)
+        assert table.bound(10, 44).status == "infinite"
+        assert table.bound(12, 60).status == "open-above"
+        with pytest.raises(ValueError):
+            table.bound(1, 5)
+        with pytest.raises(ValueError):
+            table.bound(5, 0)
+
     def test_default_is_cached(self, table):
         assert default_table() is table
 
@@ -151,6 +165,14 @@ class TestEmit:
         assert payload["version"] == 1
         assert len(payload["cells"]) == 7 * 22
 
+    def test_endpoint_codec(self):
+        for value in (None, 0, 139, INF):
+            assert endpoint_from_json(endpoint_to_json(value)) == value
+        assert endpoint_to_json(INF) == "inf"
+        for bad in ("139", 1.5, True, "infinity"):
+            with pytest.raises(DataConflictError):
+                endpoint_from_json(bad)
+
     def test_empty_window(self, table):
         assert table.emit((8, 7), (22, 24)) == ""
         payload = json.loads(table.emit((8, 7), (22, 24), fmt="json"))
@@ -199,6 +221,9 @@ class TestConstructionValidation:
         assert t.lookup(11, 41).status == "infinite"
         assert t.lookup(11, 42).status == "infinite"
         assert t.lookup(11, 40).status == "open-above"
+        # the record settles R(3,11) <= 41, past the tabulated rows too
+        assert t.ramsey_range(11) == (40, 41)
+        assert t.bound(11, 44).status == "infinite"
 
     def test_infinite_record_below_ramsey_floor(self):
         with pytest.raises(DataConflictError):
@@ -209,6 +234,17 @@ class TestConstructionValidation:
         # existence that the interval cannot support
         with pytest.raises(DataConflictError):
             make_table([CellRecord(10, 41, 172, 180, False, "check")])
+
+    def test_ramsey_tail_follows_the_data(self):
+        ramsey = dict(RAMSEY)
+        ramsey[13] = (46, None)
+        t = make_table([], ramsey)
+        assert t.ramsey_range(14) == (46, None)
+        assert t.ramsey_range(50) == (46, None)
+        # off the table the formulas see the overridden interval, so (13,44)
+        # is below R(3,13) and no longer open above
+        assert default_table().bound(13, 44).status == "open-above"
+        assert t.bound(13, 44).status == "range"
 
     def test_ramsey_coverage_required(self):
         bad = dict(RAMSEY)
