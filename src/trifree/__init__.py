@@ -31,6 +31,7 @@ from .feasibility import (
     UnknownRegionError,
     degree_cap,
     enumerate_feasible,
+    iter_feasible,
     raise_lower_bound,
     total_defect,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "formula_floor",
     "independence_number",
     "is_triangle_free",
+    "iter_feasible",
     "lower_bound_basic",
     "lower_bound_global",
     "lower_bound_steep",

@@ -184,6 +184,64 @@ class EBound:
         return f"{self.lower}–{up}"
 
 
+def _merge(l: int, n: int, ramsey: tuple[int, int | None], rec: CellRecord | None) -> EBound:
+    """Bound on e(l, n) from the formulas, the Ramsey interval and an optional record.
+
+    This is the one case split between infinite, open-above, exact and
+    range cells; general_value is the record-free case.
+    """
+    k = l - 1
+    lo_r, hi_r = ramsey
+
+    if hi_r is not None and n >= hi_r:
+        if rec is not None and rec.lower != INF:
+            raise DataConflictError(f"finite record ({l},{n}) inside the infinite region (n >= {hi_r})")
+        tags = ("sporadic-table", "ramsey") if rec is not None else ("ramsey",)
+        return EBound(INF, INF, STATUS_INFINITE, tags)
+
+    floor, exact = _window_case(n, k)
+    rec_lower = rec.lower if rec is not None else 0
+    if rec_lower == INF:
+        # an infinite record below hi_r is impossible by construction
+        raise DataConflictError(f"record ({l},{n}) infinite below the effective threshold")
+    lower = max(floor, rec_lower)
+
+    tags = []
+    if lower == floor:
+        tags.append("formula")
+    if rec is not None:
+        tags.append("sporadic-table")
+
+    if n >= lo_r:
+        # existence window: no graph may exist at this order at all
+        if rec is not None and rec.upper not in (None, INF):
+            raise DataConflictError(
+                f"record ({l},{n}) claims a witness inside the unresolved existence window"
+            )
+        tags.append("ramsey")
+        return EBound(lower, INF, STATUS_OPEN, tuple(tags))
+
+    uppers = []
+    if exact:
+        uppers.append(floor)
+    if rec is not None and rec.upper is not None and rec.upper != INF:
+        uppers.append(rec.upper)
+    upper = min(uppers) if uppers else None
+    if upper is not None and lower > upper:
+        raise DataConflictError(f"cell ({l},{n}) merged to lower {lower} above upper {upper}")
+
+    if upper == lower:
+        return EBound(lower, lower, STATUS_EXACT, tuple(tags))
+    if (
+        rec is not None
+        and rec.preliminary
+        and upper is not None
+        and upper == rec.upper
+    ):
+        tags.append("preliminary-upper")
+    return EBound(lower, upper, STATUS_RANGE, tuple(tags))
+
+
 def general_value(k: int, n: int, ramsey: tuple[int, int | None] | None = None) -> EBound:
     """Formula-only bound on e(k+1, n), usable at any order.
 
@@ -192,15 +250,9 @@ def general_value(k: int, n: int, ramsey: tuple[int, int | None] | None = None) 
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got k={k} n={n}")
-    lo_r, hi_r = ramsey if ramsey is not None else default_table().ramsey_range(k + 1)
-    if hi_r is not None and n >= hi_r:
-        return EBound(INF, INF, STATUS_INFINITE, ("ramsey",))
-    value, exact = _window_case(n, k)
-    if n >= lo_r:
-        return EBound(value, INF, STATUS_OPEN, ("formula", "ramsey"))
-    if exact:
-        return EBound(value, value, STATUS_EXACT, ("formula",))
-    return EBound(value, None, STATUS_RANGE, ("formula",))
+    if ramsey is None:
+        ramsey = default_table().ramsey_range(k + 1)
+    return _merge(k + 1, n, ramsey, None)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +282,34 @@ def endpoint_from_json(value, what: str = "bound") -> int | float | None:
         return None
     if value == "inf":
         return INF
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return value
     raise DataConflictError(f"bad {what} endpoint {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ramsey_from_json(raw) -> dict[int, tuple[int, int | None]]:
+    """The 'ramsey' entry: l -> [lo, hi] with lo an int and hi an int or null."""
+    if not isinstance(raw, dict):
+        raise DataConflictError(f"'ramsey' must map l to [lo, hi], got {raw!r}")
+    ramsey = {}
+    for key, pair in raw.items():
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and _is_int(pair[0])
+            and (pair[1] is None or _is_int(pair[1]))
+        ):
+            raise DataConflictError(f"ramsey interval for l={key} must be [int, int or null], got {pair!r}")
+        try:
+            l = int(key)
+        except ValueError:
+            raise DataConflictError(f"bad ramsey key {key!r}") from None
+        ramsey[l] = (pair[0], pair[1])
+    return ramsey
 
 
 def _record_from_json(obj: dict) -> CellRecord:
@@ -245,12 +322,15 @@ def _record_from_json(obj: dict) -> CellRecord:
     upper = endpoint_from_json(obj.get("upper"), "upper")
     if lower is None:
         raise DataConflictError(f"cell ({l},{n}) has no lower endpoint")
+    preliminary = obj.get("preliminary", False)
+    if not isinstance(preliminary, bool):
+        raise DataConflictError(f"cell ({l},{n}) has a non-boolean preliminary flag {preliminary!r}")
     return CellRecord(
         l=l,
         n=n,
         lower=lower,
         upper=upper,
-        preliminary=bool(obj.get("preliminary", False)),
+        preliminary=preliminary,
         source=str(obj.get("source", "")),
     )
 
@@ -317,60 +397,7 @@ class BoundsTable:
         self._cells: dict[tuple[int, int], EBound] = {}
         for l in range(L_MIN, L_MAX + 1):
             for n in range(N_MIN, N_MAX + 1):
-                self._cells[(l, n)] = self._merge_cell(l, n)
-
-    def _merge_cell(self, l: int, n: int) -> EBound:
-        k = l - 1
-        lo_r, hi_r = self._ramsey[l]
-        rec = self._records.get((l, n))
-
-        if hi_r is not None and n >= hi_r:
-            if rec is not None and rec.lower != INF:
-                raise DataConflictError(f"finite record ({l},{n}) inside the infinite region (n >= {hi_r})")
-            tags = ("sporadic-table", "ramsey") if rec is not None else ("ramsey",)
-            return EBound(INF, INF, STATUS_INFINITE, tags)
-
-        floor, exact = _window_case(n, k)
-        rec_lower = rec.lower if rec is not None else 0
-        if rec_lower == INF:
-            # an infinite record below hi_r is impossible by construction
-            raise DataConflictError(f"record ({l},{n}) infinite below the effective threshold")
-        lower = max(floor, rec_lower)
-
-        tags = []
-        if lower == floor:
-            tags.append("formula")
-        if rec is not None:
-            tags.append("sporadic-table")
-
-        if n >= lo_r:
-            # existence window: no graph may exist at this order at all
-            if rec is not None and rec.upper not in (None, INF):
-                raise DataConflictError(
-                    f"record ({l},{n}) claims a witness inside the unresolved existence window"
-                )
-            tags.append("ramsey")
-            return EBound(lower, INF, STATUS_OPEN, tuple(tags))
-
-        uppers = []
-        if exact:
-            uppers.append(floor)
-        if rec is not None and rec.upper is not None and rec.upper != INF:
-            uppers.append(rec.upper)
-        upper = min(uppers) if uppers else None
-        if upper is not None and lower > upper:
-            raise DataConflictError(f"cell ({l},{n}) merged to lower {lower} above upper {upper}")
-
-        if upper == lower:
-            return EBound(lower, lower, STATUS_EXACT, tuple(tags))
-        if (
-            rec is not None
-            and rec.preliminary
-            and upper is not None
-            and upper == rec.upper
-        ):
-            tags.append("preliminary-upper")
-        return EBound(lower, upper, STATUS_RANGE, tuple(tags))
+                self._cells[(l, n)] = _merge(l, n, self._ramsey[l], self._records.get((l, n)))
 
     # construction helpers
 
@@ -385,16 +412,19 @@ class BoundsTable:
             cells_raw = obj["cells"]
         except (KeyError, TypeError) as ex:
             raise DataConflictError("bounds data needs 'ramsey' and 'cells' entries") from ex
-        ramsey = {}
-        for key, pair in ramsey_raw.items():
-            lo, hi = pair
-            ramsey[int(key)] = (int(lo), None if hi is None else int(hi))
-        records = [_record_from_json(c) for c in cells_raw]
+        if not isinstance(cells_raw, list):
+            raise DataConflictError(f"'cells' must be a list of records, got {cells_raw!r}")
+        notes = obj.get("notes", [])
+        if not (isinstance(notes, list) and all(isinstance(t, str) for t in notes)):
+            raise DataConflictError(f"'notes' must be a list of strings, got {notes!r}")
+        version = obj.get("version", 1)
+        if not _is_int(version):
+            raise DataConflictError(f"bounds data version must be an int, got {version!r}")
         return cls(
-            ramsey,
-            records,
-            notes=tuple(obj.get("notes", ())),
-            version=int(obj.get("version", 1)),
+            _ramsey_from_json(ramsey_raw),
+            [_record_from_json(c) for c in cells_raw],
+            notes=tuple(notes),
+            version=version,
         )
 
     @classmethod

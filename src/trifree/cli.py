@@ -8,6 +8,7 @@ domain errors, 3 internal data conflicts or an exhausted search budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .feasibility import (
     DEFAULT_REFINEMENTS,
     DefectReport,
     enumerate_feasible,
+    iter_feasible,
     raise_lower_bound,
 )
 from .graph import (
@@ -237,19 +239,16 @@ def _record_payload(rec: VerificationRecord) -> dict:
 
 
 def cmd_verify(args) -> int:
-    stream = None
-    opened = False
-    try:
-        if args.file in (None, "-"):
-            stream = sys.stdin.buffer
-        else:
-            stream = open(args.file, "rb")
-            opened = True
-        as_json = args.format == "json"
-        payload_records = []
-        count = fails = parse_errors = 0
-        min_degree: int | None = None
-        k24_everywhere = True
+    as_json = args.format == "json"
+    payload_records = []
+    count = fails = parse_errors = 0
+    min_degree: int | None = None
+    k24_everywhere = True
+    if args.file in (None, "-"):
+        source = contextlib.nullcontext(sys.stdin.buffer)
+    else:
+        source = open(args.file, "rb")
+    with source as stream:
         for no, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line:
@@ -272,9 +271,6 @@ def cmd_verify(args) -> int:
                 payload_records.append(_record_payload(rec))
             else:
                 print(_record_line(rec))
-    finally:
-        if opened and stream is not None:
-            stream.close()
 
     summary = {
         "graphs": count,
@@ -325,7 +321,7 @@ def cmd_raise(args) -> int:
     value = raise_lower_bound(args.l, args.n, table=table, refinements=refinements)
     first = None
     if value != INF:
-        first = enumerate_feasible(args.l, args.n, int(value), table=table, refinements=refinements)[0]
+        first = next(iter_feasible(args.l, args.n, int(value), table=table, refinements=refinements))
     if args.format == "json":
         payload = {
             "version": SCHEMA_VERSION,

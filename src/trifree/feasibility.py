@@ -12,15 +12,17 @@ against the cheapest conceivable second degrees gives the defect
 
 a necessary condition on the degree distribution (n_d) of any such graph.
 A negative defect, or one of the optional refinements below, rules the
-distribution out; enumerating the survivors over all distributions with
-the right vertex and degree sums bounds e(l, n) from below.
+distribution out.  iter_feasible walks all distributions with the right
+vertex and degree sums and yields the survivors; enumerate_feasible lists
+them, and raise_lower_bound bounds e(l, n) from below by scanning edge
+counts up to the first one with a survivor.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .bounds import INF, BoundsTable, default_table
 
@@ -269,20 +271,23 @@ def _check_refinements(refset, present, caps) -> str | None:
     return None
 
 
-def enumerate_feasible(
+def iter_feasible(
     l: int,
     n: int,
     e: int,
     table: BoundsTable | None = None,
     refinements: Iterable[str] = DEFAULT_REFINEMENTS,
-) -> list[DefectReport]:
-    """All degree distributions the counting test cannot rule out.
+) -> Iterator[DefectReport]:
+    """Degree distributions the counting test cannot rule out, one at a time.
 
-    Enumerates every (n_d) with sum n_d = n and sum d*n_d = 2e over the
-    possible degrees, keeps those with nonnegative defect that survive the
-    enabled refinements, and returns their reports in lexicographic order
-    of the count vectors (ascending degrees).  An empty result proves no
-    (l, n, e)-graph exists.
+    Walks every (n_d) with sum n_d = n and sum d*n_d = 2e over the possible
+    degrees and yields the reports of those with nonnegative defect that
+    survive the enabled refinements, in lexicographic order of the count
+    vectors (ascending degrees).  This is the only enumeration of degree
+    distributions; a consumer that stops early walks only up to its stop.
+
+    Arguments are checked and the caps and suffix DP built at the call, so
+    bad input raises here, not at the first next().
     """
     if table is None:
         table = default_table()
@@ -300,18 +305,15 @@ def enumerate_feasible(
             caps[d] = cap
             sources[d] = src
     degs = sorted(caps)
-    if not degs:
-        return []
-
     target = 2 * e
     nd = len(degs)
     contrib = [caps[d] - d * d for d in degs]
 
     # Exact suffix DP: layers[i][v*(target+1) + s] is the largest defect a
     # completion over degs[i:] can collect using exactly v vertices of
-    # total degree s, and -inf when (v, s) is unreachable.  It turns the
-    # enumeration below output-sensitive: a branch is cut the moment no
-    # completion of it can reach a nonnegative defect.
+    # total degree s, and -inf when (v, s) is unreachable.  It makes the
+    # walk output-sensitive: a branch is entered only when some completion
+    # of it reaches a nonnegative defect.
     NEG = float("-inf")
     width = target + 1
     cells = (n + 1) * width
@@ -332,41 +334,75 @@ def enumerate_feasible(
                         b = c2
                 cur[row + s] = b
 
-    reports: list[DefectReport] = []
+    return _walk(degs, contrib, caps, sources, refset, layers, width, n, target)
+
+
+def _walk(degs, contrib, caps, sources, refset, layers, width, n, target) -> Iterator[DefectReport]:
+    """Depth-first walk over count vectors, one frame with an explicit stack.
+
+    Level i chooses counts[i], the number of vertices of degree degs[i];
+    left_n, left_s and gamma hold the vertices and degree sum still to place
+    and the defect collected on entry to the level.  A child is entered only
+    when the DP says some completion of it reaches a nonnegative defect, so
+    every leaf reached has placed all n vertices and all 2e degree and has
+    gamma >= 0.
+    """
+    if layers[0][n * width + target] < 0:
+        return
+    nd = len(degs)
+    last = nd - 1
+    # the last degree takes every vertex still unplaced, so its level
+    # tries that one count only
     counts = [0] * nd
-
-    def emit(gamma: int) -> None:
-        present = tuple((degs[i], counts[i]) for i in range(nd) if counts[i])
-        if _check_refinements(refset, present, caps) is not None:
-            return
-        reports.append(
-            DefectReport(
-                distribution=DegreeDistribution(present),
-                caps=tuple((d, caps[d]) for d, _ in present),
-                defect=gamma,
-                feasible=True,
-                eliminated_by=None,
-                cap_sources=tuple((d, sources[d]) for d, _ in present),
-            )
-        )
-
-    def walk(i: int, left_n: int, left_s: int, gamma: int) -> None:
-        if i == nd:
-            if left_n == 0 and left_s == 0 and gamma >= 0:
-                emit(gamma)
-            return
-        if gamma + layers[i][left_n * width + left_s] < 0:
-            return
+    counts[0] = -1 if last else n - 1
+    left_n = [n] * nd
+    left_s = [target] * nd
+    gamma = [0] * nd
+    i = 0
+    while i >= 0:
+        c = counts[i] + 1
         d = degs[i]
-        cmax = left_n if d == 0 else min(left_n, left_s // d)
-        cv = contrib[i]
-        for c in range(cmax + 1):
-            counts[i] = c
-            walk(i + 1, left_n - c, left_s - c * d, gamma + c * cv)
-        counts[i] = 0
+        vn = left_n[i] - c
+        vs = left_s[i] - c * d
+        if vn < 0 or vs < 0:
+            i -= 1
+            continue
+        counts[i] = c
+        g = gamma[i] + c * contrib[i]
+        if g + layers[i + 1][vn * width + vs] < 0:
+            continue
+        if i == last:
+            present = tuple((degs[j], counts[j]) for j in range(nd) if counts[j])
+            if _check_refinements(refset, present, caps) is None:
+                yield DefectReport(
+                    distribution=DegreeDistribution(present),
+                    caps=tuple((d, caps[d]) for d, _ in present),
+                    defect=g,
+                    feasible=True,
+                    eliminated_by=None,
+                    cap_sources=tuple((d, sources[d]) for d, _ in present),
+                )
+            continue
+        i += 1
+        left_n[i] = vn
+        left_s[i] = vs
+        gamma[i] = g
+        counts[i] = -1 if i < last else vn - 1
 
-    walk(0, n, target, 0)
-    return reports
+
+def enumerate_feasible(
+    l: int,
+    n: int,
+    e: int,
+    table: BoundsTable | None = None,
+    refinements: Iterable[str] = DEFAULT_REFINEMENTS,
+) -> list[DefectReport]:
+    """All degree distributions the counting test cannot rule out.
+
+    The reports of iter_feasible as a list, in the same lexicographic
+    order.  An empty result proves no (l, n, e)-graph exists.
+    """
+    return list(iter_feasible(l, n, e, table, refinements))
 
 
 def raise_lower_bound(
@@ -377,10 +413,11 @@ def raise_lower_bound(
 ) -> int | float:
     """Smallest edge count the counting test cannot rule out.
 
-    Scans upward from the best finite lower bound already known.  The
-    result is a sound lower bound on e(l, n) whenever a graph exists; INF
-    means the scan emptied the whole degree-sum range, which proves no
-    (l, n)-graph exists at all.
+    Scans upward from the best finite lower bound already known and stops
+    at the first edge count with a surviving distribution, walking each
+    edge count only up to its first survivor.  The result is a sound lower
+    bound on e(l, n) whenever a graph exists; INF means the scan emptied
+    the whole degree-sum range, which proves no (l, n)-graph exists at all.
     """
     if table is None:
         table = default_table()
@@ -389,6 +426,6 @@ def raise_lower_bound(
     # max degree l-1 and simple-graph limits bound the scan
     stop = min(n * (l - 1), n * (n - 1)) // 2
     for e in range(start, stop + 1):
-        if enumerate_feasible(l, n, e, table, refinements):
+        if next(iter_feasible(l, n, e, table, refinements), None) is not None:
             return e
     return INF

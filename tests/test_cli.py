@@ -84,6 +84,26 @@ class TestBounds:
         assert main(["bounds", "--l", "7", "--n", "22", "--data", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ramsey": {**RAMSEY_JSON, "2": 3}},
+            {"ramsey": {**RAMSEY_JSON, "2": ["x", 3]}},
+            {"ramsey": [1, 2]},
+            {"version": "v2"},
+            {"cells": 5},
+            {"notes": 5},
+            {"cells": [{"l": 7, "n": 22, "lower": 60, "upper": 61, "preliminary": "false"}]},
+        ],
+        ids=["bare-int-pair", "string-lo", "list-map", "string-version", "int-cells", "int-notes", "string-flag"],
+    )
+    def test_malformed_data_file(self, tmp_path, capsys, change):
+        data = {"version": 1, "ramsey": RAMSEY_JSON, "cells": [], **change}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["bounds", "--l", "5", "--n", "5", "--data", str(path)]) == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTable:
     def test_markdown_matches_fixture(self, capsys):

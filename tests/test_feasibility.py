@@ -3,8 +3,10 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trifree.bounds import BoundsTable
+import trifree.feasibility as feasibility
+from trifree.bounds import BoundsTable, default_table
 from trifree.constructions import twisted_tesseract, w13
 from trifree.feasibility import (
     ALL_REFINEMENTS,
@@ -14,6 +16,7 @@ from trifree.feasibility import (
     UnknownRegionError,
     degree_cap,
     enumerate_feasible,
+    iter_feasible,
     raise_lower_bound,
     total_defect,
 )
@@ -226,7 +229,87 @@ class TestEnumerateFeasible:
             assert dist in [r.distribution for r in reports]
 
 
+def _count_vector(dist, l, n):
+    counts = dist.as_dict()
+    return tuple(counts.get(d, 0) for d in range(min(l - 1, n - 1) + 1))
+
+
+def _all_distributions(l, n, e):
+    """Every degree multiset over 0..min(l-1, n-1) with n vertices and degree sum 2e."""
+    top = min(l - 1, n - 1)
+
+    def rec(d, left_n, left_s):
+        if d > top:
+            if left_n == 0 and left_s == 0:
+                yield {}
+            return
+        for c in range(left_n + 1):
+            if c * d > left_s:
+                break
+            for rest in rec(d + 1, left_n - c, left_s - c * d):
+                yield {d: c, **rest} if c else rest
+
+    for counts in rec(0, n, 2 * e):
+        yield DegreeDistribution.from_dict(counts)
+
+
+@st.composite
+def near_floor_cells(draw, n_max):
+    """(l, n, e) with e within 4 edges of the best finite lower bound."""
+    l = draw(st.integers(2, 9))
+    n = draw(st.integers(1, n_max))
+    floor = default_table().finite_lower(l, n)
+    e = draw(st.integers(max(0, floor - 4), floor + 4))
+    return l, n, e
+
+
+class TestIterFeasible:
+    def test_bad_arguments_raise_at_the_call(self):
+        with pytest.raises(ValueError):
+            iter_feasible(11, 41, 138, refinements={"r9"})
+        with pytest.raises(UnknownRegionError):
+            iter_feasible(1, 5, 0)
+        with pytest.raises(ValueError):
+            iter_feasible(5, 5, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=near_floor_cells(24), refinements=st.sets(st.sampled_from(sorted(ALL_REFINEMENTS))))
+    def test_reports_agree_with_total_defect(self, cell, refinements):
+        l, n, e = cell
+        vectors = []
+        for rep in iter_feasible(l, n, e, refinements=refinements):
+            raw = total_defect(rep.distribution, l, n, e)
+            assert raw.feasible and rep.feasible
+            assert (rep.defect, rep.caps, rep.cap_sources) == (raw.defect, raw.caps, raw.cap_sources)
+            vectors.append(_count_vector(rep.distribution, l, n))
+        assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=near_floor_cells(12))
+    def test_unrefined_walk_misses_no_survivor(self, cell):
+        # with no refinement, the survivors are exactly the distributions
+        # whose raw defect is nonnegative
+        l, n, e = cell
+        walked = [rep.distribution for rep in iter_feasible(l, n, e, refinements=())]
+        brute = [d for d in _all_distributions(l, n, e) if total_defect(d, l, n, e).feasible]
+        assert set(walked) == set(brute) and len(walked) == len(brute)
+
+
 class TestRaiseLowerBound:
+    def test_stops_at_the_first_survivor(self, monkeypatch):
+        built = []
+
+        class CountedReport(DefectReport):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "DefectReport", CountedReport)
+        value = raise_lower_bound(10, 34)
+        assert value == 99
+        scanned = value - default_table().finite_lower(10, 34) + 1
+        assert len(built) <= scanned
+
     def test_reference_point(self):
         assert raise_lower_bound(7, 23) == 68
 
