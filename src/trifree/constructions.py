@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, is_triangle_free
+from .graph import MAX_VERTICES, Graph, is_triangle_free
 
 
 def circulant(n: int, offsets: Iterable[int]) -> Graph:
@@ -27,6 +27,8 @@ def circulant(n: int, offsets: Iterable[int]) -> Graph:
     """
     if n < 3:
         raise ValueError(f"circulant needs at least 3 vertices, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     offs = sorted(set(int(s) for s in offsets))
     for s in offs:
         if not 1 <= s <= n // 2:

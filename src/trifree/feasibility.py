@@ -15,7 +15,8 @@ A negative defect, or one of the optional refinements below, rules the
 distribution out.  iter_feasible walks all distributions with the right
 vertex and degree sums and yields the survivors; enumerate_feasible lists
 them, and raise_lower_bound bounds e(l, n) from below by scanning edge
-counts up to the first one with a survivor.
+counts up to the first one with a survivor.  The walk prunes with the
+defect's linear relaxation, the upper concave envelope of (d, cap(d) - d^2).
 """
 
 from __future__ import annotations
@@ -286,8 +287,8 @@ def iter_feasible(
     vectors (ascending degrees).  This is the only enumeration of degree
     distributions; a consumer that stops early walks only up to its stop.
 
-    Arguments are checked and the caps and suffix DP built at the call, so
-    bad input raises here, not at the first next().
+    Arguments are checked and the caps and hull bounds built at the call,
+    so bad input raises here, not at the first next().
     """
     if table is None:
         table = default_table()
@@ -305,49 +306,54 @@ def iter_feasible(
             caps[d] = cap
             sources[d] = src
     degs = sorted(caps)
-    target = 2 * e
-    nd = len(degs)
     contrib = [caps[d] - d * d for d in degs]
-
-    # Exact suffix DP: layers[i][v*(target+1) + s] is the largest defect a
-    # completion over degs[i:] can collect using exactly v vertices of
-    # total degree s, and -inf when (v, s) is unreachable.  It makes the
-    # walk output-sensitive: a branch is entered only when some completion
-    # of it reaches a nonnegative defect.
-    NEG = float("-inf")
-    width = target + 1
-    cells = (n + 1) * width
-    layers = [[NEG] * cells for _ in range(nd + 1)]
-    layers[nd][0] = 0
-    for i in range(nd - 1, -1, -1):
-        d = degs[i]
-        cv = contrib[i]
-        cur = layers[i]
-        nxt = layers[i + 1]
-        for v in range(n + 1):
-            row = v * width
-            for s in range(target + 1):
-                b = nxt[row + s]
-                if v and s >= d:
-                    c2 = cur[row - width + s - d] + cv
-                    if c2 > b:
-                        b = c2
-                cur[row + s] = b
-
-    return _walk(degs, contrib, caps, sources, refset, layers, width, n, target)
+    return _walk(degs, contrib, caps, sources, refset, _hulls(degs, contrib), n, 2 * e)
 
 
-def _walk(degs, contrib, caps, sources, refset, layers, width, n, target) -> Iterator[DefectReport]:
+def _hulls(degs, contrib) -> list[list[tuple[int, int]]]:
+    """hulls[i]: corners of the upper concave envelope H_i of the points
+    (degs[j], contrib[j]), j >= i, by ascending degree (degs ascend strictly).
+
+    v vertices of total degree s over degs[i:] add at most v * H_i(s / v).
+    """
+    hulls = [[]]
+    for d, c in zip(reversed(degs), reversed(contrib)):
+        h = hulls[-1]
+        # drop the next corner while it lies on or below the chord from (d, c)
+        while len(h) >= 2 and (h[0][1] - c) * (h[1][0] - d) <= (h[1][1] - c) * (h[0][0] - d):
+            h = h[1:]
+        hulls.append([(d, c)] + h)
+    hulls.reverse()
+    return hulls
+
+
+def _fits(hull, g: int, v: int, s: int) -> bool:
+    """Whether g + v * H(s / v) >= 0 for the hull's envelope H; exact at v = 0."""
+    if v == 0:
+        return s == 0 and g >= 0
+    if not hull or not hull[0][0] * v <= s <= hull[-1][0] * v:
+        return False
+    a, ca = hull[0]
+    for b, cb in hull[1:]:
+        if s <= b * v:
+            # H is the chord from (a, ca) to (b, cb); cross-multiply by b - a
+            return (g + v * ca) * (b - a) + (cb - ca) * (s - v * a) >= 0
+        a, ca = b, cb
+    return g + v * ca >= 0
+
+
+def _walk(degs, contrib, caps, sources, refset, hulls, n, target) -> Iterator[DefectReport]:
     """Depth-first walk over count vectors, one frame with an explicit stack.
 
     Level i chooses counts[i], the number of vertices of degree degs[i];
     left_n, left_s and gamma hold the vertices and degree sum still to place
     and the defect collected on entry to the level.  A child is entered only
-    when the DP says some completion of it reaches a nonnegative defect, so
-    every leaf reached has placed all n vertices and all 2e degree and has
+    when its hull bound leaves room for a nonnegative defect.  The bound is
+    exact once every vertex is placed, so a level that places the last one
+    ends a count vector (zero for the later degrees) with degree sum 2e and
     gamma >= 0.
     """
-    if layers[0][n * width + target] < 0:
+    if not _fits(hulls[0], 0, n, target):
         return
     nd = len(degs)
     last = nd - 1
@@ -369,10 +375,10 @@ def _walk(degs, contrib, caps, sources, refset, layers, width, n, target) -> Ite
             continue
         counts[i] = c
         g = gamma[i] + c * contrib[i]
-        if g + layers[i + 1][vn * width + vs] < 0:
+        if not _fits(hulls[i + 1], g, vn, vs):
             continue
-        if i == last:
-            present = tuple((degs[j], counts[j]) for j in range(nd) if counts[j])
+        if vn == 0:
+            present = tuple((degs[j], counts[j]) for j in range(i + 1) if counts[j])
             if _check_refinements(refset, present, caps) is None:
                 yield DefectReport(
                     distribution=DegreeDistribution(present),

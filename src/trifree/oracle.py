@@ -392,9 +392,6 @@ def _solve(
     if m == 0:
         return 0, ()
     prev, _ = _CACHE[(l, m - 1)]
-    if prev == INF:
-        # no graph one order below means none here either
-        return INF, None
     floors = [_CACHE[(l, r)][0] for r in range(m)]
     floors.append(prev)  # stand-in for the unknown floors[m], sound by monotonicity
     kmax = l - 1
@@ -411,7 +408,8 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
 
     Iterates the edge budget upward from the value one order below, so the
     first admitted graph is automatically minimal.  Values and witnesses
-    are memoized per (l, n); nodes counts only the work done by this call.
+    are memoized per (l, n) up to the first order with no graph, where the
+    climb stops; nodes counts only the work done by this call.
     Canonical keys are memoized per labelled graph for this call only, so
     the memo never outgrows one search.
     """
@@ -424,7 +422,10 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     for m in range(n + 1):
         if (l, m) not in _CACHE:
             _CACHE[(l, m)] = _solve(l, m, counter, budget, keys)
-    value, wadj = _CACHE[(l, n)]
+        value, wadj = _CACHE[(l, m)]
+        if value == INF:
+            # no graph at order m means none at any larger order either
+            break
     witness = None
     if wadj is not None:
         witness = Graph.from_adj(list(wadj))

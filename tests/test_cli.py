@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -160,6 +161,10 @@ class TestConstruct:
         assert main(["construct", "circulant", "--n", "13", "--offsets", "1;5"]) == 2
         assert "bad offsets" in capsys.readouterr().err
 
+    def test_order_checked_before_any_edge(self, capsys):
+        assert main(["construct", "circulant", "--n", "1000000000", "--offsets", "1"]) == 2
+        assert "vertex count 1000000000 outside 0..128" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passing_claims(self, tmp_path, capsys):
@@ -279,6 +284,19 @@ class TestFeasible:
         code = main(["feasible", "--l", "11", "--n", "41", "--e", "138", "--refine", "none", "--format", "json"])
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["distributions"]) == 6
+
+    def test_large_order_walks_in_small_memory(self, capsys):
+        # the pruning bound keeps at most l points per suffix of the degrees,
+        # not a table over every vertex count and degree sum, so this empty
+        # cell is cheap however large n and e are
+        tracemalloc.start()
+        try:
+            assert main(["feasible", "--l", "13", "--n", "3000", "--e", "17000"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "0 feasible distribution(s)" in capsys.readouterr().out
+        assert peak < 8 * 2**20
 
     def test_bad_refinement(self, capsys):
         assert main(["feasible", "--l", "11", "--n", "41", "--e", "138", "--refine", "r9"]) == 2

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -293,6 +295,85 @@ class TestIterFeasible:
         walked = [rep.distribution for rep in iter_feasible(l, n, e, refinements=())]
         brute = [d for d in _all_distributions(l, n, e) if total_defect(d, l, n, e).feasible]
         assert set(walked) == set(brute) and len(walked) == len(brute)
+
+
+def _best_gain(degs, contrib, v, s):
+    """Largest sum x_j * contrib[j] over integers x_j >= 0 with sum x_j = v and
+    sum x_j * degs[j] = s, or None when no such x exists."""
+    if not degs:
+        return 0 if v == 0 and s == 0 else None
+    best = None
+    for c in range(v + 1):
+        if c * degs[0] > s:
+            break
+        rest = _best_gain(degs[1:], contrib[1:], v - c, s - c * degs[0])
+        if rest is not None and (best is None or c * contrib[0] + rest > best):
+            best = c * contrib[0] + rest
+    return best
+
+
+def _relaxed_gain(degs, contrib, v, s):
+    """The same maximum over real x_j >= 0, or None when infeasible.
+
+    A two-constraint linear program peaks at a vertex with at most two
+    nonzero variables, so trying every pair of degrees finds it.
+    """
+    if v == 0:
+        return 0 if s == 0 else None
+    gains = [Fraction(v * ca) for a, ca in zip(degs, contrib) if a * v == s]
+    for j, (a, ca) in enumerate(zip(degs, contrib)):
+        for b, cb in zip(degs[j + 1:], contrib[j + 1:]):
+            if a * v <= s <= b * v:
+                gains.append(Fraction(ca * (b * v - s) + cb * (s - a * v), b - a))
+    return max(gains, default=None)
+
+
+@st.composite
+def hull_cases(draw):
+    """A few ascending degrees with integer contributions, and a query (g, v, s)."""
+    degs = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=5)))
+    contrib = [draw(st.integers(-60, 60)) for _ in degs]
+    v = draw(st.integers(0, 7))
+    s = draw(st.integers(0, v * degs[-1] + 2))
+    g = draw(st.integers(-150, 150))
+    return degs, contrib, g, v, s
+
+
+class TestHullBound:
+    @settings(max_examples=400, deadline=None)
+    @given(case=hull_cases())
+    def test_admits_every_integer_completion(self, case):
+        degs, contrib, g, v, s = case
+        hulls = feasibility._hulls(degs, contrib)
+        assert hulls[-1] == []
+        for i, hull in enumerate(hulls):
+            fits = feasibility._fits(hull, g, v, s)
+            best = _best_gain(degs[i:], contrib[i:], v, s)
+            if best is not None and g + best >= 0:
+                assert fits
+            if v == 0:
+                assert fits == (s == 0 and g >= 0)
+            # and it is exactly the linear relaxation, never looser
+            relaxed = _relaxed_gain(degs[i:], contrib[i:], v, s)
+            assert fits == (relaxed is not None and g + relaxed >= 0)
+
+    def test_collinear_and_dominated_points_leave_the_hull(self):
+        hull = feasibility._hulls([0, 1, 2, 3], [0, 1, 2, -5])[0]
+        assert hull == [(0, 0), (2, 2), (3, -5)]
+        assert feasibility._hulls([4], [7]) == [[(4, 7)], []]
+
+    def test_pinned_beyond_the_brute_force_range(self):
+        # past brute-force reach: recorded with an exact search over every
+        # vertex count and degree sum, independent of the hull bound
+        reports = enumerate_feasible(11, 41, 139)
+        h = hashlib.sha256()
+        for rep in reports:
+            h.update(f"{rep.distribution}|{rep.defect}|{rep.caps}\n".encode())
+        assert len(reports) == 1304
+        assert h.hexdigest() == "7c610cfa7a9dcfba1fffb159aad0b560589caae5acdfff37db7caecb681e992e"
+        assert raise_lower_bound(12, 60) == 263
+        assert raise_lower_bound(13, 60) == 240
+        assert raise_lower_bound(13, 49) == 157
 
 
 class TestRaiseLowerBound:

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trifree.oracle as oracle
 from trifree.bounds import BoundsTable, default_table
 from trifree.constructions import circulant, twisted_tesseract, w13
 from trifree.graph import Graph, classify, is_triangle_free, write_graph6
@@ -212,6 +213,14 @@ class TestExhaustive:
         res = min_edges_exhaustive(4, 9)
         assert res.value == INF
         assert res.witness is None
+
+    def test_stops_at_the_first_order_with_no_graph(self):
+        # R(3,4) = 9, so the climb ends at order 9 however large n is
+        clear_cache()
+        res = min_edges_exhaustive(4, 10**8)
+        assert res.value == INF
+        assert res.witness is None
+        assert not [m for l, m in oracle._CACHE if l == 4 and m > 9]
 
     def test_memoized(self):
         min_edges_exhaustive(4, 8)
