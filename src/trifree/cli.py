@@ -27,7 +27,6 @@ from .graph import (
     Graph6Error,
     classify,
     decode_graph6,
-    edge_slack,
     find_induced_k24,
     second_degree,
     write_graph6,
@@ -195,7 +194,7 @@ def _verify_one(line_no: int, g, l: int | None, n_claim: int | None, e_claim: in
         e=cls.e,
         alpha=cls.alpha,
         triangle_free=cls.triangle_free,
-        slack=edge_slack(g) if cls.triangle_free else None,
+        slack=cls.slack,
         degree_min=min(degs) if degs else None,
         degree_max=max(degs) if degs else None,
         second_min=min(seconds) if seconds else None,

@@ -140,6 +140,11 @@ class GraphClass:
     def matches(self, l: int, n: int, e: int) -> bool:
         return self.triangle_free and self.alpha < l and self.n == n and self.e == e
 
+    @property
+    def slack(self) -> int | None:
+        """The linear invariant e - 6n + 13*alpha; None when there is a triangle."""
+        return self.e - 6 * self.n + 13 * self.alpha if self.triangle_free else None
+
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are mutually adjacent."""
@@ -159,14 +164,14 @@ def is_triangle_free(g: Graph) -> bool:
 def independence_number(g: Graph) -> int:
     """Exact independence number via branch and bound on bitsets.
 
-    Branches on a maximum-degree vertex: either exclude it, or include it
-    and delete its closed neighborhood.  Vertices of degree at most one
-    are taken greedily (always optimal), and a greedy clique cover of the
-    remaining vertices supplies the pruning bound.  Always exact; intended
-    for n <= 128.
+    The incumbent starts from a greedy independent set that always takes
+    a vertex of least remaining degree.  Each node takes vertices of
+    degree at most one (always optimal), prunes with a greedy clique
+    cover of the rest, and branches on a maximum-degree vertex: either
+    exclude it, or include it and delete its closed neighborhood.  The
+    reduction pass that takes nothing has seen every degree, so it also
+    names that vertex.  Always exact; intended for n <= 128.
     """
-    if g.n == 0:
-        return 0
     adj = g.adj
 
     def cover_bound(avail: int) -> int:
@@ -187,11 +192,17 @@ def independence_number(g: Graph) -> int:
         return b
 
     best = 0
+    avail = (1 << g.n) - 1
+    while avail:
+        v = min(_bits(avail), key=lambda u: (adj[u] & avail).bit_count())
+        avail &= ~(adj[v] | 1 << v)
+        best += 1
 
     def bb(avail: int, size: int) -> None:
         nonlocal best
         while True:
             changed = False
+            v_pick, d_pick = -1, 1
             scan = avail
             while scan:
                 low = scan & -scan
@@ -200,15 +211,15 @@ def independence_number(g: Graph) -> int:
                     continue
                 v = low.bit_length() - 1
                 nb = adj[v] & avail
-                if nb == 0:
-                    avail ^= low
-                    size += 1
-                    changed = True
-                elif nb & (nb - 1) == 0:
-                    # degree one: taking v is always optimal
+                if nb & (nb - 1) == 0:
+                    # degree at most one: taking v is always optimal
                     avail &= ~(low | nb)
                     size += 1
                     changed = True
+                elif not changed:
+                    d = nb.bit_count()
+                    if d > d_pick:
+                        v_pick, d_pick = v, d
             if not changed:
                 break
         if avail == 0:
@@ -219,15 +230,6 @@ def independence_number(g: Graph) -> int:
             return
         if size + cover_bound(avail) <= best:
             return
-        v_pick, d_pick = -1, -1
-        scan = avail
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & avail).bit_count()
-            if d > d_pick:
-                v_pick, d_pick = v, d
         vbit = 1 << v_pick
         bb(avail & ~(adj[v_pick] | vbit), size + 1)
         bb(avail & ~vbit, size)
@@ -255,12 +257,6 @@ def reduced_graph(g: Graph, v: int) -> Graph:
     return g.induced(u for u in range(g.n) if not (drop >> u) & 1)
 
 
-def edge_slack(g: Graph) -> int:
-    """The linear invariant e - 6n + 13*alpha; nonnegative on triangle-free graphs."""
-    assert is_triangle_free(g), "edge_slack is only meaningful on triangle-free graphs"
-    return g.edge_count() - 6 * g.n + 13 * independence_number(g)
-
-
 def classify(g: Graph) -> GraphClass:
     return GraphClass(
         triangle_free=is_triangle_free(g),
@@ -268,6 +264,15 @@ def classify(g: Graph) -> GraphClass:
         n=g.n,
         e=g.edge_count(),
     )
+
+
+def edge_slack(g: Graph) -> int:
+    """classify(g).slack; nonnegative on triangle-free graphs."""
+    slack = classify(g).slack
+    if slack is None:
+        # raised explicitly so that python -O keeps the check
+        raise AssertionError("edge_slack is only meaningful on triangle-free graphs")
+    return slack
 
 
 def find_induced_k24(g: Graph):

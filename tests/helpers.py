@@ -3,7 +3,17 @@
 import random
 from itertools import combinations
 
+import networkx as nx
+from hypothesis import strategies as st
+
 from trifree.graph import Graph
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 def brute_alpha(g: Graph) -> int:
@@ -45,6 +55,28 @@ def random_triangle_free(rng: random.Random, n: int) -> Graph:
         adj[b] |= 1 << a
         edges.append((a, b))
     return Graph(n, edges)
+
+
+def maximal_triangle_free(rng: random.Random, n: int) -> Graph:
+    """Insert every shuffled pair whose endpoints share no neighbor."""
+    adj = [0] * n
+    edges = []
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        if not adj[a] & adj[b]:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            edges.append((a, b))
+    return Graph(n, edges)
+
+
+@st.composite
+def graphs(draw, max_n: int) -> Graph:
+    """Hypothesis strategy: a graph on 0..max_n vertices at any edge density."""
+    n = draw(st.integers(0, max_n))
+    tenths = draw(st.integers(0, 10))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, p=tenths / 10)
 
 
 def cycle(n: int) -> Graph:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import trifree.graph
 from trifree.bounds import cells_from_json, default_table
 from trifree.cli import main
 from trifree.constructions import twisted_tesseract, w13
@@ -247,6 +248,30 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/are.g6"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_one_alpha_per_graph(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        alpha = trifree.graph.independence_number
+
+        def counted(g):
+            calls.append(g.n)
+            return alpha(g)
+
+        monkeypatch.setattr(trifree.graph, "independence_number", counted)
+        path = tmp_path / "mixed.g6"
+        path.write_text("\n".join([W13_G6, TESS_G6, "Bw", W13_G6]) + "\n", encoding="ascii")
+        assert main(["verify", str(path)]) == 1  # Bw is a triangle
+        assert calls == [13, 16, 3, 13]
+
+    def test_json_fixture(self, capsys):
+        # records, summary and exit code pinned on a small fixed corpus:
+        # W13, the twisted tesseract, And(3..5), a truncated line, And(6)
+        # (breaks --l 6), C_9 and C_5 plus a chord (a triangle)
+        corpus = FIXTURES / "verify_corpus.g6"
+        assert main(["verify", "--format", "json", "--l", "6", str(corpus)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (FIXTURES / "verify_corpus.json").read_text(encoding="utf-8")
+        assert captured.err == "error: truncated bit stream (12 of 13 bytes) (line 6)\n"
 
     def test_pipes_from_construct(self, tmp_path, capsys):
         assert main(["construct", "w13"]) == 0

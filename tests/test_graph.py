@@ -1,8 +1,11 @@
 import random
+import time
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trifree.constructions import twisted_tesseract, w13
+from trifree.constructions import circulant, twisted_tesseract, w13
 from trifree.graph import (
     Graph,
     classify,
@@ -13,6 +16,7 @@ from trifree.graph import (
     reduced_graph,
     second_degree,
 )
+from trifree.oracle import _alpha_scan
 
 from helpers import (
     brute_alpha,
@@ -20,10 +24,24 @@ from helpers import (
     complete_bipartite,
     cycle,
     double_c5,
+    graphs,
+    maximal_triangle_free,
     petersen,
     random_graph,
     random_triangle_free,
+    to_nx,
 )
+
+
+def nx_alpha(g: Graph) -> int:
+    """Clique number of the complement, by networkx."""
+    return max((len(c) for c in nx.find_cliques(nx.complement(to_nx(g)))), default=0)
+
+
+CIRCULANTS = st.integers(5, 32).flatmap(
+    lambda n: st.sets(st.integers(1, n // 2), min_size=1, max_size=4).map(lambda offs: circulant(n, offs))
+)
+MAXIMAL_TRIANGLE_FREE = st.builds(maximal_triangle_free, st.integers(0, 2**32).map(random.Random), st.integers(20, 45))
 
 
 class TestGraphBasics:
@@ -133,6 +151,52 @@ class TestIndependenceNumber:
             g = random_graph(rng, n, p=0.08)
             assert independence_number(g) == brute_alpha(g)
 
+    @settings(max_examples=300, deadline=None)
+    @given(g=graphs(14))
+    def test_matches_brute_force(self, g):
+        assert independence_number(g) == brute_alpha(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(22))
+    def test_matches_oracle_scan(self, g):
+        # the oracle keeps its own alpha so that the two can check each other
+        assert independence_number(g) == _alpha_scan(g.adj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.one_of(CIRCULANTS, MAXIMAL_TRIANGLE_FREE))
+    def test_matches_networkx(self, g):
+        assert independence_number(g) == nx_alpha(g)
+
+
+class TestAlphaTimeGuard:
+    """Exact alpha on large sparse and symmetric graphs stays fast.
+
+    The whole set takes about 1 s of CPU.  Without the degree-one rule,
+    circulant(100, (1, 4)) alone takes about 5 s; branching on the lowest
+    vertex instead of a maximum-degree one, about 25 s.  Colour-ordered
+    branching (Tomita-style colouring bounds) was faster on the verify
+    corpus but did not finish the random tree or circulant(100, (1, 4))
+    within 20 s, so it must not replace them.
+    """
+
+    def test_large_graphs(self):
+        rng = random.Random(128)
+        tree = Graph(128, [(v, rng.randrange(v)) for v in range(1, 128)])
+        # Koenig: a bipartite graph's alpha is n minus its maximum matching
+        tree_alpha = 128 - len(nx.bipartite.maximum_matching(to_nx(tree))) // 2
+        cases = [
+            (Graph(128, [(v, v + 1) for v in range(127)]), 64),
+            (Graph(128, [(2 * v, 2 * v + 1) for v in range(64)]), 64),
+            (complete_bipartite(64, 64), 64),
+            (tree, tree_alpha),
+            (circulant(100, (1, 4)), 40),
+            (circulant(128, (1, 10)), 58),
+        ]
+        start = time.process_time()
+        for g, alpha in cases:
+            assert independence_number(g) == alpha
+        assert time.process_time() - start < 4.0
+
 
 class TestSecondDegree:
     def test_values(self):
@@ -178,6 +242,14 @@ class TestEdgeSlack:
     def test_requires_triangle_free(self):
         with pytest.raises(AssertionError):
             edge_slack(complete(3))
+
+    def test_classify_slack(self):
+        rng = random.Random(505)
+        cases = [cycle(5), w13(), twisted_tesseract(), petersen(), Graph(0)]
+        cases += [random_triangle_free(rng, rng.randrange(1, 15)) for _ in range(60)]
+        for g in cases:
+            assert classify(g).slack == edge_slack(g)
+        assert classify(complete(3)).slack is None
 
 
 class TestClassify:

@@ -2,18 +2,12 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from trifree.constructions import w13
-from trifree.graph import Graph, Graph6Error, decode_graph6, parse_graph6, write_graph6
+from trifree.graph import GRAPH6_HEADER, Graph, Graph6Error, decode_graph6, parse_graph6, write_graph6
 
-from helpers import complete_bipartite, cycle, random_graph
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
+from helpers import complete_bipartite, cycle, graphs, random_graph, to_nx
 
 
 class TestRoundTrip:
@@ -40,6 +34,16 @@ class TestRoundTrip:
             if n >= 63:
                 assert data.startswith(b"~")
             assert parse_graph6(data) == [g]
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(128))
+    def test_round_trip_property(self, g):
+        data = write_graph6(g)
+        # orders up to 62 take one byte, larger ones the 4-byte form
+        assert (data[0] == 126) == (g.n > 62)
+        assert decode_graph6(data) == g
+        assert parse_graph6(data) == [g]
+        assert parse_graph6(GRAPH6_HEADER + data + b"\n") == [g]
 
     def test_decode_one_record(self):
         g = w13()
