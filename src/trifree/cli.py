@@ -1,5 +1,8 @@
 """Command-line front end for the table, verifier, constructions and search.
 
+Each subcommand imports only the layer it runs, so a short call such as
+``trifree bounds`` never loads the graph core or the oracle.
+
 Exit codes follow a scripting contract: 0 success, 1 a negative result
 (a failed verification, an empty feasibility answer), 2 usage, parse or
 domain errors, 3 internal data conflicts or an exhausted search budget.
@@ -12,26 +15,6 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass
-
-from .bounds import INF, BoundsTable, DataConflictError, cell_to_json, default_table, endpoint_to_json
-from .constructions import circulant, twisted_tesseract, w13
-from .feasibility import (
-    ALL_REFINEMENTS,
-    DEFAULT_REFINEMENTS,
-    DefectReport,
-    enumerate_feasible,
-    iter_feasible,
-    raise_lower_bound,
-)
-from .graph import (
-    Graph6Error,
-    classify,
-    decode_graph6,
-    find_induced_k24,
-    second_degree,
-    write_graph6,
-)
-from .oracle import DEFAULT_BUDGET, InconclusiveError, OracleMismatchError, min_edges_exhaustive
 
 SCHEMA_VERSION = 1
 
@@ -80,6 +63,8 @@ def _parse_offsets(text: str) -> tuple[int, ...]:
 
 
 def _parse_refinements(text: str | None) -> frozenset[str]:
+    from .feasibility import ALL_REFINEMENTS, DEFAULT_REFINEMENTS
+
     if text is None:
         return DEFAULT_REFINEMENTS
     s = text.strip().lower()
@@ -94,13 +79,17 @@ def _parse_refinements(text: str | None) -> frozenset[str]:
     return parts
 
 
-def _load_table(args) -> BoundsTable:
+def _load_table(args):
+    from .bounds import BoundsTable, default_table
+
     if getattr(args, "data", None):
         return BoundsTable.from_file(args.data)
     return default_table()
 
 
 def _fmt_value(v) -> str:
+    from .bounds import INF
+
     if v == INF:
         return "∞"
     if v is None:
@@ -108,7 +97,7 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _report_payload(rep: DefectReport) -> dict:
+def _report_payload(rep) -> dict:
     return {
         "distribution": {str(d): c for d, c in rep.distribution.counts},
         "defect": rep.defect,
@@ -117,7 +106,7 @@ def _report_payload(rep: DefectReport) -> dict:
     }
 
 
-def _print_report(rep: DefectReport) -> None:
+def _print_report(rep) -> None:
     print(f"{rep.distribution}  defect={rep.defect}")
     sources = dict(rep.cap_sources)
     for d, cap in rep.caps:
@@ -129,6 +118,8 @@ def _print_report(rep: DefectReport) -> None:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import cell_to_json
+
     table = _load_table(args)
     cell = table.lookup(args.l, args.n)
     if args.format == "json":
@@ -151,6 +142,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import circulant, twisted_tesseract, w13
+    from .graph import write_graph6
+
     if args.kind == "circulant":
         if args.n is None or args.offsets is None:
             raise ValueError("circulant needs --n and --offsets")
@@ -175,6 +169,8 @@ def cmd_construct(args) -> int:
 
 
 def _verify_one(line_no: int, g, l: int | None, n_claim: int | None, e_claim: int | None) -> VerificationRecord:
+    from .graph import classify, write_graph6
+
     cls = classify(g)
     reasons = []
     if not cls.triangle_free:
@@ -186,7 +182,7 @@ def _verify_one(line_no: int, g, l: int | None, n_claim: int | None, e_claim: in
     if e_claim is not None and cls.e != e_claim:
         reasons.append(f"edge count {cls.e} != {e_claim}")
     degs = g.degrees()
-    seconds = [second_degree(g, v) for v in range(g.n)]
+    seconds = g.second_degrees()
     return VerificationRecord(
         line_no=line_no,
         graph6=write_graph6(g).decode("ascii"),
@@ -238,6 +234,8 @@ def _record_payload(rec: VerificationRecord) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .graph import Graph6Error, decode_graph6, find_induced_k24
+
     as_json = args.format == "json"
     payload_records = []
     count = fails = parse_errors = 0
@@ -294,27 +292,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_feasible(args) -> int:
+    from .feasibility import iter_feasible
+
     table = _load_table(args)
     refinements = _parse_refinements(args.refine)
-    reports = enumerate_feasible(args.l, args.n, args.e, table=table, refinements=refinements)
+    reports = iter_feasible(args.l, args.n, args.e, table=table, refinements=refinements)
     if args.format == "json":
+        distributions = [_report_payload(rep) for rep in reports]
         payload = {
             "version": SCHEMA_VERSION,
             "l": args.l,
             "n": args.n,
             "e": args.e,
             "refinements": sorted(refinements),
-            "distributions": [_report_payload(rep) for rep in reports],
+            "distributions": distributions,
         }
         print(json.dumps(payload, ensure_ascii=False, indent=2))
-    else:
-        for rep in reports:
-            _print_report(rep)
-        print(f"{len(reports)} feasible distribution(s) at l={args.l} n={args.n} e={args.e}")
-    return 0 if reports else 1
+        return 0 if distributions else 1
+    count = 0
+    for rep in reports:  # printed as the walk yields them, never held as a list
+        _print_report(rep)
+        count += 1
+    print(f"{count} feasible distribution(s) at l={args.l} n={args.n} e={args.e}")
+    return 0 if count else 1
 
 
 def cmd_raise(args) -> int:
+    from .bounds import INF, endpoint_to_json
+    from .feasibility import iter_feasible, raise_lower_bound
+
     table = _load_table(args)
     refinements = _parse_refinements(args.refine)
     value = raise_lower_bound(args.l, args.n, table=table, refinements=refinements)
@@ -341,7 +347,11 @@ def cmd_raise(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    res = min_edges_exhaustive(args.l, args.n, args.budget)
+    from .bounds import endpoint_to_json
+    from .graph import write_graph6
+    from .oracle import DEFAULT_BUDGET, min_edges_exhaustive
+
+    res = min_edges_exhaustive(args.l, args.n, DEFAULT_BUDGET if args.budget is None else args.budget)
     g6 = write_graph6(res.witness).decode("ascii") if res.witness is not None else None
     if args.emit_witness:
         if g6 is None:
@@ -427,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("oracle", help="exact small values by exhaustive search")
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node limit")
+    q.add_argument("--budget", type=int, help="search node limit")
     q.add_argument("--emit-witness", metavar="FILE", help="write the witness graph6 here")
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_oracle)
@@ -446,16 +456,20 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (DataConflictError, InconclusiveError, OracleMismatchError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        # imported here, so that a successful call never loads the oracle
+        from .bounds import DataConflictError
+        from .oracle import InconclusiveError, OracleMismatchError
+
+        if isinstance(exc, (DataConflictError, InconclusiveError, OracleMismatchError)):
+            code = 3
+        elif isinstance(exc, RuntimeError):
+            raise
+        else:
+            # Graph6Error and the domain errors all derive from ValueError
+            code = 2
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # Graph6Error and the domain errors all derive from ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
+import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from pathlib import Path
@@ -16,6 +21,7 @@ from trifree.oracle import clear_cache
 from helpers import complete_bipartite
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 W13_G6 = write_graph6(w13()).decode("ascii")
 TESS_G6 = write_graph6(twisted_tesseract()).decode("ascii")
@@ -323,6 +329,31 @@ class TestFeasible:
         assert "0 feasible distribution(s)" in capsys.readouterr().out
         assert peak < 8 * 2**20
 
+    def test_text_streams_its_reports(self):
+        # text output goes out as the walk yields it; the JSON form needs the
+        # whole list first.  Output hashed as it is written, so the sink
+        # holds nothing; the digest was recorded from the list-building code.
+        argv = ["feasible", "--l", "11", "--n", "41", "--e", "139"]
+
+        def run(extra, traced):
+            sink = types.SimpleNamespace(digest=hashlib.sha256(), flush=lambda: None)
+            sink.write = lambda text: sink.digest.update(text.encode("utf-8"))
+            if traced:
+                tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert main(argv + extra) == 0
+                peak = tracemalloc.get_traced_memory()[1] if traced else None
+            finally:
+                tracemalloc.stop()
+            return sink.digest.hexdigest(), peak
+
+        digest, _ = run([], traced=False)  # also warms the caches both forms share
+        assert digest == "e930a311374604cfb83032aa53ef4d212c0373306a064e80b6e2adda9f18e60a"
+        text_peak = run([], traced=True)[1]
+        json_peak = run(["--format", "json"], traced=True)[1]
+        assert text_peak * 8 < json_peak
+
     def test_bad_refinement(self, capsys):
         assert main(["feasible", "--l", "11", "--n", "41", "--e", "138", "--refine", "r9"]) == 2
         assert "unknown refinements: r9" in capsys.readouterr().err
@@ -402,3 +433,61 @@ class TestParser:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def _fresh(args, stdin=None):
+    """Run python with args in a new interpreter that imports trifree from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestFreshProcess:
+    """Behaviour that in-process tests cannot see once every module is loaded."""
+
+    LOADS = "import sys; from trifree.cli import main; code = main(sys.argv[1:]); print(code, sorted(m for m in sys.modules if m.startswith('trifree')))"
+
+    # subcommand -> (its arguments, the trifree submodules it loads)
+    LAYERS = {
+        "bounds": (["--l", "5", "--n", "13"], ["bounds"]),
+        "table": (["--l", "3-4", "--n", "5-9"], ["bounds"]),
+        "construct": (["w13"], ["constructions", "graph"]),
+        "verify": (["--l", "5"], ["graph"]),  # W13 on stdin
+        "feasible": (["--l", "7", "--n", "23", "--e", "68"], ["bounds", "feasibility"]),
+        "raise": (["--l", "7", "--n", "23"], ["bounds", "feasibility"]),
+        "oracle": (["--l", "3", "--n", "5"], ["bounds", "graph", "oracle"]),
+    }
+
+    def test_bare_import_loads_no_submodule(self):
+        proc = _fresh(["-c", "import sys, trifree; print(sorted(m for m in sys.modules if m.startswith('trifree')))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['trifree']"
+
+    @pytest.mark.parametrize("command", list(LAYERS))
+    def test_subcommand_loads_only_its_layer(self, command):
+        args, layers = self.LAYERS[command]
+        proc = _fresh(["-c", self.LOADS, command, *args], stdin=W13_G6 + "\n")
+        assert proc.returncode == 0, proc.stderr
+        want = sorted(["trifree", "trifree.cli"] + [f"trifree.{m}" for m in layers])
+        assert proc.stdout.splitlines()[-1] == f"0 {want}"
+
+    def test_malformed_data_file_exits_3(self, tmp_path):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"version": "v2", "ramsey": RAMSEY_JSON, "cells": []}), encoding="utf-8")
+        proc = _fresh(["-m", "trifree.cli", "bounds", "--l", "5", "--n", "5", "--data", str(path)])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+
+    def test_budget_exhaustion_exits_3(self):
+        proc = _fresh(["-m", "trifree.cli", "oracle", "--l", "4", "--n", "8", "--budget", "3"])
+        assert proc.returncode == 3
+        assert "budget 3 exhausted" in proc.stderr
+
+    def test_out_of_domain_exits_2(self):
+        proc = _fresh(["-m", "trifree.cli", "bounds", "--l", "20", "--n", "4"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_truncated_graph6_exits_2(self):
+        proc = _fresh(["-m", "trifree.cli", "verify"], stdin=W13_G6[:-1] + "\n")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr

@@ -208,6 +208,13 @@ class TestSecondDegree:
         w = w13()
         assert all(second_degree(w, v) == 16 for v in range(13))
 
+    def test_all_at_once_matches_per_vertex(self):
+        rng = random.Random(405)
+        graphs = [Graph(0), w13(), twisted_tesseract(), Graph(5, [(0, i) for i in range(1, 5)])]
+        graphs += [random_graph(rng, rng.randrange(1, 20)) for _ in range(60)]
+        for g in graphs:
+            assert g.second_degrees() == tuple(second_degree(g, v) for v in range(g.n))
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             second_degree(cycle(5), 5)
