@@ -511,13 +511,10 @@ class BoundsTable:
         l_lo, l_hi = l_span
         n_lo, n_hi = n_span
         if l_lo > l_hi or n_lo > n_hi:
-            if fmt == "json":
-                return json.dumps(
-                    {"version": self.version, "l_range": [l_lo, l_hi], "n_range": [n_lo, n_hi], "cells": []},
-                    ensure_ascii=False,
-                )
-            return ""
-        if not (L_MIN <= l_lo and l_hi <= L_MAX and N_MIN <= n_lo and n_hi <= N_MAX):
+            # an empty window has no cells to check against the domain
+            if fmt != "json":
+                return ""
+        elif not (L_MIN <= l_lo and l_hi <= L_MAX and N_MIN <= n_lo and n_hi <= N_MAX):
             raise ValueError(
                 f"window l {l_lo}..{l_hi}, n {n_lo}..{n_hi} outside the domain "
                 f"l {L_MIN}..{L_MAX}, n {N_MIN}..{N_MAX}"

@@ -1,7 +1,9 @@
 """Command-line front end for the table, verifier, constructions and search.
 
 Each subcommand imports only the layer it runs, so a short call such as
-``trifree bounds`` never loads the graph core or the oracle.
+``trifree bounds`` never loads the graph core or the oracle, and a failing
+call is classified from the modules already loaded, so it loads nothing
+more.  Refinement names are checked by the counting engine.
 
 Exit codes follow a scripting contract: 0 success, 1 a negative result
 (a failed verification, an empty feasibility answer), 2 usage, parse or
@@ -14,28 +16,16 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
 
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    """Checked facts about one graph6 line, plus the verdict on any claims."""
-
-    line_no: int
-    graph6: str
-    n: int
-    e: int
-    alpha: int
-    triangle_free: bool
-    slack: int | None
-    degree_min: int | None
-    degree_max: int | None
-    second_min: int | None
-    second_max: int | None
-    verdict: bool
-    reasons: tuple[str, ...]
+# errors that exit 3, as (module, class); a class whose module is not
+# loaded cannot have been raised, so classifying an error imports nothing
+_INTERNAL_ERRORS = (
+    ("trifree.bounds", "DataConflictError"),
+    ("trifree.oracle", "InconclusiveError"),
+    ("trifree.oracle", "OracleMismatchError"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +53,7 @@ def _parse_offsets(text: str) -> tuple[int, ...]:
 
 
 def _parse_refinements(text: str | None) -> frozenset[str]:
+    """The names selected by --refine; the counting engine rejects unknown ones."""
     from .feasibility import ALL_REFINEMENTS, DEFAULT_REFINEMENTS
 
     if text is None:
@@ -72,11 +63,7 @@ def _parse_refinements(text: str | None) -> frozenset[str]:
         return frozenset()
     if s == "all":
         return ALL_REFINEMENTS
-    parts = frozenset(p.strip() for p in s.split(",") if p.strip())
-    unknown = parts - ALL_REFINEMENTS
-    if unknown:
-        raise ValueError(f"unknown refinements: {', '.join(sorted(unknown))}")
-    return parts
+    return frozenset(p.strip() for p in s.split(",") if p.strip())
 
 
 def _load_table(args):
@@ -85,6 +72,10 @@ def _load_table(args):
     if getattr(args, "data", None):
         return BoundsTable.from_file(args.data)
     return default_table()
+
+
+def _print_json(payload: dict, indent: int | None = None) -> None:
+    print(json.dumps({"version": SCHEMA_VERSION, **payload}, ensure_ascii=False, indent=indent))
 
 
 def _fmt_value(v) -> str:
@@ -123,8 +114,7 @@ def cmd_bounds(args) -> int:
     table = _load_table(args)
     cell = table.lookup(args.l, args.n)
     if args.format == "json":
-        payload = {"version": SCHEMA_VERSION, **cell_to_json(args.l, args.n, cell)}
-        print(json.dumps(payload, ensure_ascii=False))
+        _print_json(cell_to_json(args.l, args.n, cell))
     else:
         print(cell.display())
         print(f"status: {cell.status}")
@@ -155,20 +145,14 @@ def cmd_construct(args) -> int:
         g = w13() if args.kind == "w13" else twisted_tesseract()
     g6 = write_graph6(g).decode("ascii")
     if args.format == "json":
-        payload = {
-            "version": SCHEMA_VERSION,
-            "kind": args.kind,
-            "n": g.n,
-            "e": g.edge_count(),
-            "graph6": g6,
-        }
-        print(json.dumps(payload, ensure_ascii=False))
+        _print_json({"kind": args.kind, "n": g.n, "e": g.edge_count(), "graph6": g6})
     else:
         print(g6)
     return 0
 
 
-def _verify_one(line_no: int, g, l: int | None, n_claim: int | None, e_claim: int | None) -> VerificationRecord:
+def _verify_one(line_no: int, g, l: int | None, n_claim: int | None, e_claim: int | None) -> dict:
+    """Checked facts about one graph6 line, plus the verdict on any claims."""
     from .graph import classify, write_graph6
 
     cls = classify(g)
@@ -183,61 +167,39 @@ def _verify_one(line_no: int, g, l: int | None, n_claim: int | None, e_claim: in
         reasons.append(f"edge count {cls.e} != {e_claim}")
     degs = g.degrees()
     seconds = g.second_degrees()
-    return VerificationRecord(
-        line_no=line_no,
-        graph6=write_graph6(g).decode("ascii"),
-        n=cls.n,
-        e=cls.e,
-        alpha=cls.alpha,
-        triangle_free=cls.triangle_free,
-        slack=cls.slack,
-        degree_min=min(degs) if degs else None,
-        degree_max=max(degs) if degs else None,
-        second_min=min(seconds) if seconds else None,
-        second_max=max(seconds) if seconds else None,
-        verdict=not reasons,
-        reasons=tuple(reasons),
-    )
-
-
-def _record_line(rec: VerificationRecord) -> str:
-    bits = [f"line {rec.line_no}:", f"n={rec.n}", f"e={rec.e}", f"alpha={rec.alpha}"]
-    bits.append("triangle-free" if rec.triangle_free else "has-triangle")
-    if rec.slack is not None:
-        bits.append(f"slack={rec.slack}")
-    if rec.degree_min is not None:
-        bits.append(f"deg={rec.degree_min}..{rec.degree_max}")
-        bits.append(f"deg2={rec.second_min}..{rec.second_max}")
-    if rec.verdict:
-        bits.append("pass")
-    else:
-        bits.append("FAIL (" + "; ".join(rec.reasons) + ")")
-    return " ".join(bits)
-
-
-def _record_payload(rec: VerificationRecord) -> dict:
     return {
-        "line": rec.line_no,
-        "graph6": rec.graph6,
-        "n": rec.n,
-        "e": rec.e,
-        "alpha": rec.alpha,
-        "triangle_free": rec.triangle_free,
-        "slack": rec.slack,
-        "degree_min": rec.degree_min,
-        "degree_max": rec.degree_max,
-        "second_degree_min": rec.second_min,
-        "second_degree_max": rec.second_max,
-        "verdict": "pass" if rec.verdict else "fail",
-        "reasons": list(rec.reasons),
+        "line": line_no,
+        "graph6": write_graph6(g).decode("ascii"),
+        "n": cls.n,
+        "e": cls.e,
+        "alpha": cls.alpha,
+        "triangle_free": cls.triangle_free,
+        "slack": cls.slack,
+        "degree_min": min(degs) if degs else None,
+        "degree_max": max(degs) if degs else None,
+        "second_degree_min": min(seconds) if seconds else None,
+        "second_degree_max": max(seconds) if seconds else None,
+        "verdict": "fail" if reasons else "pass",
+        "reasons": reasons,
     }
+
+
+def _record_line(rec: dict) -> str:
+    bits = ["line {line}: n={n} e={e} alpha={alpha}".format_map(rec)]
+    bits.append("triangle-free" if rec["triangle_free"] else "has-triangle")
+    if rec["slack"] is not None:
+        bits.append(f"slack={rec['slack']}")
+    if rec["degree_min"] is not None:
+        bits.append("deg={degree_min}..{degree_max} deg2={second_degree_min}..{second_degree_max}".format_map(rec))
+    bits.append("FAIL (" + "; ".join(rec["reasons"]) + ")" if rec["reasons"] else "pass")
+    return " ".join(bits)
 
 
 def cmd_verify(args) -> int:
     from .graph import Graph6Error, decode_graph6, find_induced_k24
 
     as_json = args.format == "json"
-    payload_records = []
+    records = []
     count = fails = parse_errors = 0
     min_degree: int | None = None
     k24_everywhere = True
@@ -258,14 +220,14 @@ def cmd_verify(args) -> int:
                 continue
             rec = _verify_one(no, g, args.l, args.n, args.e)
             count += 1
-            if not rec.verdict:
+            if rec["reasons"]:
                 fails += 1
-            if rec.degree_min is not None and (min_degree is None or rec.degree_min < min_degree):
-                min_degree = rec.degree_min
+            if rec["degree_min"] is not None and (min_degree is None or rec["degree_min"] < min_degree):
+                min_degree = rec["degree_min"]
             if find_induced_k24(g) is None:
                 k24_everywhere = False
             if as_json:
-                payload_records.append(_record_payload(rec))
+                records.append(rec)
             else:
                 print(_record_line(rec))
 
@@ -278,7 +240,7 @@ def cmd_verify(args) -> int:
         "induced_k24_everywhere": k24_everywhere if count else None,
     }
     if as_json:
-        print(json.dumps({"version": SCHEMA_VERSION, "records": payload_records, "summary": summary}, ensure_ascii=False, indent=2))
+        _print_json({"records": records, "summary": summary}, indent=2)
     else:
         print(f"graphs: {count}  pass: {count - fails}  fail: {fails}  parse errors: {parse_errors}")
         print(f"minimum degree over corpus: {min_degree if count else 'n/a'}")
@@ -299,15 +261,10 @@ def cmd_feasible(args) -> int:
     reports = iter_feasible(args.l, args.n, args.e, table=table, refinements=refinements)
     if args.format == "json":
         distributions = [_report_payload(rep) for rep in reports]
-        payload = {
-            "version": SCHEMA_VERSION,
-            "l": args.l,
-            "n": args.n,
-            "e": args.e,
-            "refinements": sorted(refinements),
-            "distributions": distributions,
-        }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
+        _print_json(
+            {"l": args.l, "n": args.n, "e": args.e, "refinements": sorted(refinements), "distributions": distributions},
+            indent=2,
+        )
         return 0 if distributions else 1
     count = 0
     for rep in reports:  # printed as the walk yields them, never held as a list
@@ -329,14 +286,13 @@ def cmd_raise(args) -> int:
         first = next(iter_feasible(args.l, args.n, int(value), table=table, refinements=refinements))
     if args.format == "json":
         payload = {
-            "version": SCHEMA_VERSION,
             "l": args.l,
             "n": args.n,
             "refinements": sorted(refinements),
             "value": endpoint_to_json(value),
             "first_distribution": _report_payload(first) if first else None,
         }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
+        _print_json(payload, indent=2)
     else:
         print(f"raised lower bound: {_fmt_value(value)}")
         if first is not None:
@@ -360,15 +316,7 @@ def cmd_oracle(args) -> int:
             with open(args.emit_witness, "w", encoding="ascii") as fh:
                 fh.write(g6 + "\n")
     if args.format == "json":
-        payload = {
-            "version": SCHEMA_VERSION,
-            "l": args.l,
-            "n": args.n,
-            "value": endpoint_to_json(res.value),
-            "nodes": res.nodes,
-            "graph6": g6,
-        }
-        print(json.dumps(payload, ensure_ascii=False))
+        _print_json({"l": args.l, "n": args.n, "value": endpoint_to_json(res.value), "nodes": res.nodes, "graph6": g6})
     else:
         print(f"value: {_fmt_value(res.value)}")
         print(f"nodes: {res.nodes}")
@@ -457,11 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
-        # imported here, so that a successful call never loads the oracle
-        from .bounds import DataConflictError
-        from .oracle import InconclusiveError, OracleMismatchError
-
-        if isinstance(exc, (DataConflictError, InconclusiveError, OracleMismatchError)):
+        internal = tuple(getattr(sys.modules[m], c) for m, c in _INTERNAL_ERRORS if m in sys.modules)
+        if isinstance(exc, internal):
             code = 3
         elif isinstance(exc, RuntimeError):
             raise

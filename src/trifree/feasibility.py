@@ -265,11 +265,13 @@ def _r3_eliminates(present: tuple[tuple[int, int], ...], caps: Mapping[int, int]
 _REFINEMENT_TESTS = (("r1", _r1_eliminates), ("r2", _r2_eliminates), ("r3", _r3_eliminates))
 
 
-def _check_refinements(refset, present, caps) -> str | None:
-    for name, test in _REFINEMENT_TESTS:
-        if name in refset and test(present, caps):
-            return name
-    return None
+def _refinement_tests(refinements: Iterable[str]) -> tuple:
+    """Elimination tests of the named refinements; an unknown name raises ValueError."""
+    names = frozenset(refinements)
+    unknown = names - ALL_REFINEMENTS
+    if unknown:
+        raise ValueError(f"unknown refinements: {', '.join(sorted(unknown))}")
+    return tuple(test for name, test in _REFINEMENT_TESTS if name in names)
 
 
 def iter_feasible(
@@ -292,12 +294,13 @@ def iter_feasible(
     """
     if table is None:
         table = default_table()
-    refset = frozenset(refinements)
-    unknown = refset - ALL_REFINEMENTS
-    if unknown:
-        raise ValueError(f"unknown refinements: {sorted(unknown)}")
+    tests = _refinement_tests(refinements)
     _check_order(l, n, e)
+    return _survivors(l, n, e, table, tests)
 
+
+def _survivors(l: int, n: int, e: int, table: BoundsTable, tests: tuple) -> Iterator[DefectReport]:
+    """iter_feasible on checked arguments, with the refinement tests to run at each leaf."""
     caps: dict[int, int] = {}
     sources: dict[int, str] = {}
     for d in range(min(l - 1, n - 1) + 1):
@@ -307,7 +310,7 @@ def iter_feasible(
             sources[d] = src
     degs = sorted(caps)
     contrib = [caps[d] - d * d for d in degs]
-    return _walk(degs, contrib, caps, sources, refset, _hulls(degs, contrib), n, 2 * e)
+    return _walk(degs, contrib, caps, sources, tests, _hulls(degs, contrib), n, 2 * e)
 
 
 def _hulls(degs, contrib) -> list[list[tuple[int, int]]]:
@@ -342,7 +345,7 @@ def _fits(hull, g: int, v: int, s: int) -> bool:
     return g + v * ca >= 0
 
 
-def _walk(degs, contrib, caps, sources, refset, hulls, n, target) -> Iterator[DefectReport]:
+def _walk(degs, contrib, caps, sources, tests, hulls, n, target) -> Iterator[DefectReport]:
     """Depth-first walk over count vectors, one frame with an explicit stack.
 
     Level i chooses counts[i], the number of vertices of degree degs[i];
@@ -379,7 +382,7 @@ def _walk(degs, contrib, caps, sources, refset, hulls, n, target) -> Iterator[De
             continue
         if vn == 0:
             present = tuple((degs[j], counts[j]) for j in range(i + 1) if counts[j])
-            if _check_refinements(refset, present, caps) is None:
+            if not any(test(present, caps) for test in tests):
                 yield DefectReport(
                     distribution=DegreeDistribution(present),
                     caps=tuple((d, caps[d]) for d, _ in present),
@@ -427,11 +430,12 @@ def raise_lower_bound(
     """
     if table is None:
         table = default_table()
+    tests = _refinement_tests(refinements)
     _check_order(l, n)
     start = table.finite_lower(l, n)
     # max degree l-1 and simple-graph limits bound the scan
     stop = min(n * (l - 1), n * (n - 1)) // 2
     for e in range(start, stop + 1):
-        if next(iter_feasible(l, n, e, table, refinements), None) is not None:
+        if next(_survivors(l, n, e, table, tests), None) is not None:
             return e
     return INF

@@ -279,6 +279,13 @@ class TestVerify:
         assert captured.out == (FIXTURES / "verify_corpus.json").read_text(encoding="utf-8")
         assert captured.err == "error: truncated bit stream (12 of 13 bytes) (line 6)\n"
 
+    def test_corpus_text(self, capsys):
+        corpus = FIXTURES / "verify_corpus.g6"
+        assert main(["verify", "--l", "6", str(corpus)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (FIXTURES / "verify_corpus.txt").read_text(encoding="utf-8")
+        assert captured.err == "error: truncated bit stream (12 of 13 bytes) (line 6)\n"
+
     def test_pipes_from_construct(self, tmp_path, capsys):
         assert main(["construct", "w13"]) == 0
         g6 = capsys.readouterr().out
@@ -457,6 +464,16 @@ class TestFreshProcess:
         "oracle": (["--l", "3", "--n", "5"], ["bounds", "graph", "oracle"]),
     }
 
+    # failing call -> (its arguments, exit code, start of stderr, the trifree submodules it loads)
+    FAILURES = {
+        "out-of-domain": ("bounds --l 20 --n 4", 2, "error: (20,4) outside", ["bounds"]),
+        "bad-offsets": ("construct circulant --n 4 --offsets x", 2, "error: bad offsets", ["constructions", "graph"]),
+        "missing-file": ("verify /nonexistent", 2, "error: [Errno 2]", ["graph"]),
+        "malformed-data": ("bounds --l 5 --n 5 --data MALFORMED", 3, "error: bounds data", ["bounds"]),
+        "budget": ("oracle --l 4 --n 8 --budget 3", 3, "error: budget 3 exhausted", ["bounds", "graph", "oracle"]),
+        "refinement": ("raise --l 3 --n 6 --refine r9", 2, "error: unknown refinements: r9\n", ["bounds", "feasibility"]),
+    }
+
     def test_bare_import_loads_no_submodule(self):
         proc = _fresh(["-c", "import sys, trifree; print(sorted(m for m in sys.modules if m.startswith('trifree')))"])
         assert proc.returncode == 0, proc.stderr
@@ -469,6 +486,16 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         want = sorted(["trifree", "trifree.cli"] + [f"trifree.{m}" for m in layers])
         assert proc.stdout.splitlines()[-1] == f"0 {want}"
+
+    @pytest.mark.parametrize("case", list(FAILURES))
+    def test_failing_call_loads_only_its_layer(self, case, tmp_path):
+        args, code, err, layers = self.FAILURES[case]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"version": "v2", "ramsey": RAMSEY_JSON, "cells": []}), encoding="utf-8")
+        proc = _fresh(["-c", self.LOADS, *args.replace("MALFORMED", str(path)).split()])
+        want = sorted(["trifree", "trifree.cli"] + [f"trifree.{m}" for m in layers])
+        assert proc.stdout.splitlines()[-1] == f"{code} {want}"
+        assert proc.stderr.startswith(err)
 
     def test_malformed_data_file_exits_3(self, tmp_path):
         path = tmp_path / "malformed.json"

@@ -174,7 +174,7 @@ class TestEnumerateFeasible:
         assert len(dists) == 6
 
     def test_unknown_refinement(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown refinements: r9$"):
             enumerate_feasible(11, 41, 138, refinements=frozenset({"r9"}))
 
     def test_refinement_name_sets(self):
@@ -407,6 +407,18 @@ class TestRaiseLowerBound:
         assert raise_lower_bound(4, 9) == INF
         assert raise_lower_bound(5, 14) == INF
         assert raise_lower_bound(6, 18) == INF
+
+    @pytest.mark.parametrize("l, n, name", [(3, 6, "r9"), (4, 9, "bogus"), (7, 23, "r9")])
+    def test_unknown_refinement_raises_even_when_nothing_is_scanned(self, l, n, name):
+        # (3, 6) and (4, 9) start past their last edge count, so no edge count is walked
+        with pytest.raises(ValueError, match=f"^unknown refinements: {name}$"):
+            raise_lower_bound(l, n, refinements={name})
+
+    @pytest.mark.parametrize("l, n, want", [(8, 29, INF), (10, 42, 189), (7, 23, 69)])
+    def test_one_shot_refinements_apply_at_every_edge_count(self, l, n, want):
+        names = ["r1", "r2", "r3"]
+        assert raise_lower_bound(l, n, refinements=names) == want
+        assert raise_lower_bound(l, n, refinements=iter(names)) == want
 
     def test_domain(self):
         with pytest.raises(UnknownRegionError):

@@ -175,8 +175,12 @@ class TestEmit:
 
     def test_empty_window(self, table):
         assert table.emit((8, 7), (22, 24)) == ""
-        payload = json.loads(table.emit((8, 7), (22, 24), fmt="json"))
-        assert payload["cells"] == []
+        assert table.emit((8, 7), (22, 24), fmt="csv") == ""
+        # the same indented, newline-terminated JSON as any other window
+        want = '{\n  "version": 1,\n  "l_range": [\n    8,\n    7\n  ],\n  "n_range": [\n    22,\n    24\n  ],\n  "cells": []\n}\n'
+        assert table.emit((8, 7), (22, 24), fmt="json") == want
+        # an empty window is not checked against the domain
+        assert table.emit((30, 20), (0, 99)) == ""
 
     def test_bad_requests(self, table):
         with pytest.raises(ValueError):
