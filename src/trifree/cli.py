@@ -63,7 +63,10 @@ def _parse_refinements(text: str | None) -> frozenset[str]:
         return frozenset()
     if s == "all":
         return ALL_REFINEMENTS
-    return frozenset(p.strip() for p in s.split(",") if p.strip())
+    names = frozenset(p.strip() for p in s.split(",") if p.strip())
+    if not names:
+        raise ValueError(f"--refine {text!r} names no refinement; use --refine none to run without one")
+    return names
 
 
 def _load_table(args):

@@ -11,7 +11,13 @@ Two tiers deliberately share no code with the bounds machinery:
   refinement plus individualisation-refinement, the core of nauty.  Each
   call memoizes the key of every labelled graph it meets, because the
   search replays the same levels for every budget and order; the memo
-  lives only as long as that call.
+  lives only as long as that call.  Each child is its parent plus one
+  vertex, and the parent settles two things: the child's independence
+  number is max(alpha(parent), 1 + alpha(parent minus the new vertex's
+  neighbourhood)), so alpha scans only that smaller graph, and a
+  neighbourhood that uses higher-indexed open twins of the parent where
+  lower ones are free gives a child isomorphic to one already built, so
+  it is counted and not built again.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -53,13 +59,15 @@ class OracleResult:
 # small helpers shared by both tiers
 
 
-def _alpha_scan(adj: Sequence[int]) -> int:
-    """Independence number by plain take/skip branching on the lowest bit.
+def _alpha_scan(adj: Sequence[int], avail: int | None = None, best: int = 0) -> int:
+    """Larger of best and the independence number of the graph induced by avail.
 
-    Kept intentionally separate from graph.independence_number so the two
-    implementations can check each other.
+    avail defaults to every vertex.  Plain take/skip branching on the lowest
+    bit; a branch that cannot beat the incumbent best is cut, so a high
+    starting incumbent prunes most of the scan.  Kept intentionally separate
+    from graph.independence_number so the two implementations can check
+    each other.
     """
-    best = 0
 
     def go(avail: int, size: int) -> None:
         nonlocal best
@@ -73,7 +81,7 @@ def _alpha_scan(adj: Sequence[int]) -> int:
         if size > best:
             best = size
 
-    go((1 << len(adj)) - 1, 0)
+    go((1 << len(adj)) - 1 if avail is None else avail, 0)
     return best
 
 
@@ -324,37 +332,76 @@ def _round(
 ):
     """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None.
 
+    A state is a parent graph with its edge count and independence number
+    ap.  Its children join a new vertex p to each independent set S of
+    parent vertices below degree l - 1, the sets of each size in
+    lexicographic order.  Two facts of the parent save work per child:
+
+    * alpha(child) = max(ap, 1 + alpha(parent - S)), so alpha scans only the
+      parent outside S, with ap - 1 as the starting incumbent.
+    * Eligible vertices with equal rows (open twins) are never adjacent, and
+      swapping two of them is an automorphism of the parent.  So child(S) is
+      isomorphic to child(S'), where S' takes the lowest members of each
+      twin class in the same counts.  S' comes no later than S in the same
+      level, so the outcome of S is known: it is a node exactly when S'
+      passed the alpha test, it cannot end the round (S' would have), and
+      its key is already in nxt.  S is then only counted.
+
     keys maps labelled adjacency tuples to their canonical keys; it is
     shared by every round of one search.
     """
     kmax = l - 1
-    states: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     for p in range(m):
         rem = m - p - 1
         floor_rem = floors[rem]
-        nxt: dict[tuple, tuple[tuple[int, ...], int]] = {}
-        for rows, ep in states:
+        below = (1 << p) - 1
+        nxt: dict[tuple, tuple[tuple[int, ...], int, int]] = {}
+        for rows, ep, ap in states:
             if ep + floors[m - p] > t:
                 continue
             elig = [v for v in range(p) if rows[v].bit_count() < kmax]
+            classes: dict[int, list[int]] = {}
+            for v in elig:
+                classes.setdefault(rows[v], []).append(v)
+            # per class of open twins, the masks of its k lowest members for
+            # each k; the last is the whole class
+            twins = []
+            for members in classes.values():
+                if len(members) > 1:
+                    prefix = [0]
+                    for v in members:
+                        prefix.append(prefix[-1] | 1 << v)
+                    twins.append(prefix)
+            passed: set[int] = set()  # twin-minimal sets whose child has alpha < l
             level = [0]
             size = 0
             while True:
                 if ep + size + floor_rem > t:
                     break
                 for smask in level:
-                    child = list(rows)
-                    for v in _bits(smask):
-                        child[v] |= 1 << p
-                    child.append(smask)
-                    a2 = _alpha_scan(child)
-                    if a2 >= l:
+                    least = smask
+                    for prefix in twins:
+                        part = smask & prefix[-1]
+                        least ^= part ^ prefix[part.bit_count()]
+                    if least == smask:
+                        a2 = 1 + _alpha_scan(rows, below & ~smask, ap - 1)
+                        if a2 >= l:
+                            continue
+                    elif least not in passed:
                         continue
                     counter[0] += 1
                     if counter[0] > budget:
                         raise InconclusiveError(
                             f"budget {budget} exhausted while settling order {m} at independence {l}"
                         )
+                    if least != smask:
+                        continue
+                    passed.add(smask)
+                    child = list(rows)
+                    for v in _bits(smask):
+                        child[v] |= 1 << p
+                    child.append(smask)
                     if a2 + rem <= kmax:
                         # padding with isolated vertices is the cheapest
                         # completion, and it stays below independence l
@@ -365,7 +412,7 @@ def _round(
                     if key is None:
                         key = keys[labelled] = canonical_key(child, p + 1)
                     if key not in nxt:
-                        nxt[key] = (labelled, ep + size)
+                        nxt[key] = (labelled, ep + size, a2)
                 if size == min(kmax, len(elig)):
                     break
                 bigger = []
@@ -411,12 +458,15 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     are memoized per (l, n) up to the first order with no graph, where the
     climb stops; nodes counts only the work done by this call.
     Canonical keys are memoized per labelled graph for this call only, so
-    the memo never outgrows one search.
+    the memo never outgrows one search.  budget caps nodes, the children
+    kept below independence l, and must be nonnegative.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     counter = [0]
     keys: dict[tuple[int, ...], tuple] = {}
     for m in range(n + 1):

@@ -391,6 +391,14 @@ class TestRaise:
         assert payload["value"] == "inf"
         assert payload["first_distribution"] is None
 
+    @pytest.mark.parametrize("text", ["", ",", " , "])
+    def test_empty_refinement_selection(self, text, capsys):
+        # an empty list is a slip, not a request for no refinement
+        assert main(["raise", "--l", "7", "--n", "23", "--refine", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "names no refinement; use --refine none" in captured.err
+
 
 class TestOracle:
     def test_text_with_witness(self, capsys):
@@ -428,6 +436,10 @@ class TestOracle:
             assert "budget 3 exhausted" in capsys.readouterr().err
         finally:
             clear_cache()
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        assert main(["oracle", "--l", "4", "--n", "8", "--budget", "-5"]) == 2
+        assert capsys.readouterr().err == "error: need budget >= 0, got -5\n"
 
 
 class TestParser:
@@ -472,6 +484,7 @@ class TestFreshProcess:
         "malformed-data": ("bounds --l 5 --n 5 --data MALFORMED", 3, "error: bounds data", ["bounds"]),
         "budget": ("oracle --l 4 --n 8 --budget 3", 3, "error: budget 3 exhausted", ["bounds", "graph", "oracle"]),
         "refinement": ("raise --l 3 --n 6 --refine r9", 2, "error: unknown refinements: r9\n", ["bounds", "feasibility"]),
+        "negative-budget": ("oracle --l 4 --n 8 --budget -5", 2, "error: need budget >= 0", ["bounds", "graph", "oracle"]),
     }
 
     def test_bare_import_loads_no_submodule(self):

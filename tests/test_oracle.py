@@ -21,7 +21,7 @@ from trifree.oracle import (
     naive_min_edges,
 )
 
-from helpers import complete_bipartite, cycle, random_triangle_free
+from helpers import brute_alpha, complete_bipartite, cycle, graphs, random_triangle_free
 
 INF = math.inf
 
@@ -191,6 +191,23 @@ class TestCanonicalKeyAgainstNetworkx:
         assert canonical_key(relabelled(g, perm).adj, g.n) == canonical_key(g.adj, g.n)
 
 
+def induced(g, mask):
+    verts = [v for v in range(g.n) if mask >> v & 1]
+    index = {v: i for i, v in enumerate(verts)}
+    return Graph(len(verts), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index])
+
+
+class TestAlphaScan:
+    @settings(max_examples=300, deadline=None)
+    @given(g=graphs(12), data=st.data())
+    def test_restricted_scan_matches_brute_force(self, g, data):
+        # the search scans the parent outside a child's neighbourhood, starting
+        # from the parent's alpha minus one; best may be -1 at the empty parent
+        avail = data.draw(st.integers(0, (1 << g.n) - 1))
+        best = data.draw(st.integers(-1, 12))
+        assert oracle._alpha_scan(g.adj, avail, best) == max(best, brute_alpha(induced(g, avail)))
+
+
 class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
@@ -202,6 +219,46 @@ class TestExhaustive:
         clear_cache()
         res = min_edges_exhaustive(l, n)
         assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
+
+    @pytest.mark.parametrize(
+        "l, n, value, nodes, graph6",
+        [(4, 8, 10, 1370, b"GCQb`o"), (5, 10, 10, 9065, b"I?`DA_gD?"), (8, 13, 6, 10183, b"L??CA?_C?O?_??")],
+    )
+    def test_search_pinned(self, l, n, value, nodes, graph6):
+        # recorded before the search reused its parents' twins and alpha;
+        # skipping work must not change what the search visits or returns
+        clear_cache()
+        res = min_edges_exhaustive(l, n)
+        assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "l, n, value, nodes, graph6",
+        [(5, 12, 20, 95200, b"K?`DAaSY@YBo"), (6, 12, 11, 64433, b"K?AA@AOQ?g@O")],
+    )
+    def test_larger_search_pinned(self, l, n, value, nodes, graph6):
+        clear_cache()
+        try:
+            res = min_edges_exhaustive(l, n)
+        finally:
+            clear_cache()
+        assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
+
+    def test_budget_message_pinned(self):
+        clear_cache()
+        try:
+            with pytest.raises(InconclusiveError) as info:
+                min_edges_exhaustive(6, 11, budget=5000)
+        finally:
+            clear_cache()
+        assert str(info.value) == "budget 5000 exhausted while settling order 11 at independence 6"
+
+    def test_negative_budget_rejected_before_the_cache(self):
+        min_edges_exhaustive(4, 8)
+        with pytest.raises(ValueError, match="need budget >= 0, got -5"):
+            min_edges_exhaustive(4, 8, budget=-5)
+        with pytest.raises(ValueError, match="need budget >= 0, got -1"):
+            cross_validate(3, 4, budget=-1)
 
     def test_reference_value_and_witness(self):
         res = min_edges_exhaustive(4, 8)
