@@ -13,7 +13,6 @@ make sense on triangle-free input say so and assert it in debug mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 128
@@ -171,6 +170,27 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
+def _clique_cover(adj: Sequence[int], avail: int) -> int:
+    """Size of a greedy clique cover of avail, an upper bound on its independence number.
+
+    Each clique meets an independent set in at most one vertex.
+    """
+    b = 0
+    rest = avail
+    while rest:
+        b += 1
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest ^= low
+        cand = adj[v] & rest
+        while cand:
+            wlow = cand & -cand
+            w = wlow.bit_length() - 1
+            rest &= ~wlow
+            cand &= adj[w]
+    return b
+
+
 def independence_number(g: Graph) -> int:
     """Exact independence number via branch and bound on bitsets.
 
@@ -183,24 +203,6 @@ def independence_number(g: Graph) -> int:
     names that vertex.  Always exact; intended for n <= 128.
     """
     adj = g.adj
-
-    def cover_bound(avail: int) -> int:
-        # Each clique meets an independent set in at most one vertex.
-        b = 0
-        rest = avail
-        while rest:
-            b += 1
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            cand = adj[v] & rest
-            while cand:
-                wlow = cand & -cand
-                w = wlow.bit_length() - 1
-                rest &= ~wlow
-                cand &= adj[w]
-        return b
-
     best = 0
     avail = (1 << g.n) - 1
     while avail:
@@ -238,7 +240,7 @@ def independence_number(g: Graph) -> int:
             return
         if size + avail.bit_count() <= best:
             return
-        if size + cover_bound(avail) <= best:
+        if size + _clique_cover(adj, avail) <= best:
             return
         vbit = 1 << v_pick
         bb(avail & ~(adj[v_pick] | vbit), size + 1)
@@ -289,21 +291,35 @@ def find_induced_k24(g: Graph):
     """First induced complete bipartite K_{2,4}, or None.
 
     Returns ((a1, a2), (b1, b2, b3, b4)): the a-side is a nonadjacent pair,
-    the b-side four of their pairwise-nonadjacent common neighbors.  In a
-    triangle-free graph both independence conditions are automatic, but
-    they are checked here so arbitrary graphs can be probed too.
+    the b-side four of their pairwise-nonadjacent common neighbors, both
+    the first in lexicographic order.  In a triangle-free graph both
+    independence conditions are automatic, but they are checked here so
+    arbitrary graphs can be probed too.  The b-side is found by branch and
+    bound on bitsets, pruned by a greedy clique cover, so dense common
+    neighbourhoods cost no scan of every 4-subset.
     """
     adj = g.adj
+
+    def first(avail: int, need: int) -> tuple[int, ...] | None:
+        # lexicographically first need pairwise nonadjacent vertices of avail:
+        # take the lowest vertex or skip it, cut when too few vertices are left
+        # or a greedy clique cover of them is too small
+        if need == 0:
+            return ()
+        while avail.bit_count() >= need and _clique_cover(adj, avail) >= need:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail ^= low
+            rest = first(avail & ~adj[v], need - 1)
+            if rest is not None:
+                return (v, *rest)
+        return None
+
     for a1 in range(g.n):
         for a2 in range(a1 + 1, g.n):
-            if (adj[a1] >> a2) & 1:
-                continue
-            common = adj[a1] & adj[a2]
-            if common.bit_count() < 4:
-                continue
-            cands = list(_bits(common))
-            for quad in combinations(cands, 4):
-                if all(not (adj[x] >> y) & 1 for x, y in combinations(quad, 2)):
+            if not (adj[a1] >> a2) & 1:
+                quad = first(adj[a1] & adj[a2], 4)
+                if quad is not None:
                     return ((a1, a2), quad)
     return None
 

@@ -16,8 +16,8 @@ Two tiers deliberately share no code with the bounds machinery:
   number is max(alpha(parent), 1 + alpha(parent minus the new vertex's
   neighbourhood)), so alpha scans only that smaller graph, and a
   neighbourhood that uses higher-indexed open twins of the parent where
-  lower ones are free gives a child isomorphic to one already built, so
-  it is counted and not built again.
+  lower ones are free would give a child isomorphic to one built from
+  the lower ones, so such neighbourhoods are never generated.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -333,19 +333,18 @@ def _round(
     """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None.
 
     A state is a parent graph with its edge count and independence number
-    ap.  Its children join a new vertex p to each independent set S of
-    parent vertices below degree l - 1, the sets of each size in
-    lexicographic order.  Two facts of the parent save work per child:
+    ap; it was admitted one level up only if its edge count plus the floors
+    of the orders still to come was within t.  Its children join a new
+    vertex p to each twin-minimal independent set S of parent vertices
+    below degree l - 1, the sets of each size in lexicographic order:
 
     * alpha(child) = max(ap, 1 + alpha(parent - S)), so alpha scans only the
       parent outside S, with ap - 1 as the starting incumbent.
     * Eligible vertices with equal rows (open twins) are never adjacent, and
-      swapping two of them is an automorphism of the parent.  So child(S) is
-      isomorphic to child(S'), where S' takes the lowest members of each
-      twin class in the same counts.  S' comes no later than S in the same
-      level, so the outcome of S is known: it is a node exactly when S'
-      passed the alpha test, it cannot end the round (S' would have), and
-      its key is already in nxt.  S is then only counted.
+      swapping two of them is an automorphism of the parent, so a set that
+      skips a lower twin for a higher one gives a child isomorphic to one
+      that does not.  A vertex joins S only when the eligible open twin
+      just below it is in S already, and counter counts the children built.
 
     keys maps labelled adjacency tuples to their canonical keys; it is
     shared by every round of one search.
@@ -354,50 +353,30 @@ def _round(
     states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     for p in range(m):
         rem = m - p - 1
-        floor_rem = floors[rem]
         below = (1 << p) - 1
         nxt: dict[tuple, tuple[tuple[int, ...], int, int]] = {}
         for rows, ep, ap in states:
-            if ep + floors[m - p] > t:
-                continue
-            elig = [v for v in range(p) if rows[v].bit_count() < kmax]
-            classes: dict[int, list[int]] = {}
-            for v in elig:
-                classes.setdefault(rows[v], []).append(v)
-            # per class of open twins, the masks of its k lowest members for
-            # each k; the last is the whole class
-            twins = []
-            for members in classes.values():
-                if len(members) > 1:
-                    prefix = [0]
-                    for v in members:
-                        prefix.append(prefix[-1] | 1 << v)
-                    twins.append(prefix)
-            passed: set[int] = set()  # twin-minimal sets whose child has alpha < l
+            # eligible vertices, each with the mask of its open twin just below, or 0
+            elig = []
+            last: dict[int, int] = {}
+            for v in range(p):
+                if rows[v].bit_count() < kmax:
+                    elig.append((v, last.get(rows[v], 0)))
+                    last[rows[v]] = 1 << v
             level = [0]
             size = 0
             while True:
-                if ep + size + floor_rem > t:
+                if ep + size + floors[rem] > t:
                     break
                 for smask in level:
-                    least = smask
-                    for prefix in twins:
-                        part = smask & prefix[-1]
-                        least ^= part ^ prefix[part.bit_count()]
-                    if least == smask:
-                        a2 = 1 + _alpha_scan(rows, below & ~smask, ap - 1)
-                        if a2 >= l:
-                            continue
-                    elif least not in passed:
+                    a2 = 1 + _alpha_scan(rows, below & ~smask, ap - 1)
+                    if a2 >= l:
                         continue
                     counter[0] += 1
                     if counter[0] > budget:
                         raise InconclusiveError(
                             f"budget {budget} exhausted while settling order {m} at independence {l}"
                         )
-                    if least != smask:
-                        continue
-                    passed.add(smask)
                     child = list(rows)
                     for v in _bits(smask):
                         child[v] |= 1 << p
@@ -418,10 +397,8 @@ def _round(
                 bigger = []
                 for smask in level:
                     start = smask.bit_length()
-                    for v in elig:
-                        if v < start:
-                            continue
-                        if rows[v] & smask == 0:
+                    for v, twin in elig:
+                        if v >= start and rows[v] & smask == 0 and smask & twin == twin:
                             bigger.append(smask | (1 << v))
                 if not bigger:
                     break
@@ -440,7 +417,6 @@ def _solve(
         return 0, ()
     prev, _ = _CACHE[(l, m - 1)]
     floors = [_CACHE[(l, r)][0] for r in range(m)]
-    floors.append(prev)  # stand-in for the unknown floors[m], sound by monotonicity
     kmax = l - 1
     tmax = min(m * kmax // 2, m * m // 4)
     for t in range(int(prev), tmax + 1):
@@ -459,7 +435,8 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     climb stops; nodes counts only the work done by this call.
     Canonical keys are memoized per labelled graph for this call only, so
     the memo never outgrows one search.  budget caps nodes, the children
-    kept below independence l, and must be nonnegative.
+    built: one per twin-minimal neighbourhood kept below independence l.
+    It must be nonnegative.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
@@ -535,8 +512,13 @@ def cross_validate(
 
     Every finite witness is re-verified through the graph-core classifier.
     Any inconsistency raises OracleMismatchError with the witness attached;
-    the returned report lists every cell checked.
+    the returned report lists every cell checked.  The window must hold a
+    cell and budget must be nonnegative.
     """
+    if l_max < 2 or n_max < 1:
+        raise ValueError(f"need l_max >= 2 and n_max >= 1, got {l_max} and {n_max}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if table is None:
         table = default_table()
     entries = []

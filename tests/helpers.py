@@ -34,6 +34,23 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def scan_k24(g: Graph):
+    """Reference for find_induced_k24: scan every 4-subset of each common neighbourhood."""
+    adj = g.adj
+    for a1 in range(g.n):
+        for a2 in range(a1 + 1, g.n):
+            if (adj[a1] >> a2) & 1:
+                continue
+            common = adj[a1] & adj[a2]
+            if common.bit_count() < 4:
+                continue
+            cands = [v for v in range(g.n) if common >> v & 1]
+            for quad in combinations(cands, 4):
+                if all(not (adj[x] >> y) & 1 for x, y in combinations(quad, 2)):
+                    return ((a1, a2), quad)
+    return None
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     edges = [pair for pair in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)

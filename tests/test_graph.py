@@ -29,6 +29,7 @@ from helpers import (
     petersen,
     random_graph,
     random_triangle_free,
+    scan_k24,
     to_nx,
 )
 
@@ -300,3 +301,23 @@ class TestInducedK24:
         # adding the edge between the two high-degree vertices kills inducedness
         g = Graph(6, [(0, 1)] + [(0, 2 + j) for j in range(4)] + [(1, 2 + j) for j in range(4)])
         assert find_induced_k24(g) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=graphs(14))
+    def test_matches_subset_scan(self, g):
+        assert find_induced_k24(g) == scan_k24(g)
+
+    def test_dense_common_neighbourhoods_time_guard(self):
+        # every 4-subset scan is about n^5 on these: minutes at 128 vertices
+        cocktail_party = Graph(128, [(u, v) for u in range(128) for v in range(u + 1, 128) if v != u ^ 1])
+        # 0 and 1 see three disjoint 42-cliques, which hold no 4 independent vertices
+        cliques = [range(2 + 42 * i, 44 + 42 * i) for i in range(3)]
+        three_cliques = Graph(
+            128,
+            [(a, b) for a in (0, 1) for b in range(2, 128)]
+            + [(u, v) for c in cliques for u in c for v in c if u < v],
+        )
+        start = time.process_time()
+        assert find_induced_k24(cocktail_party) is None
+        assert find_induced_k24(three_cliques) is None
+        assert time.process_time() - start < 2.0

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trifree.oracle as oracle
-from trifree.bounds import BoundsTable, default_table
+from trifree.bounds import STATUS_EXACT, STATUS_INFINITE, STATUS_OPEN, STATUS_RANGE, BoundsTable, EBound, default_table
 from trifree.constructions import circulant, twisted_tesseract, w13
-from trifree.graph import Graph, classify, is_triangle_free, write_graph6
+from trifree.graph import Graph, GraphClass, classify, is_triangle_free, write_graph6
 from trifree.oracle import (
+    DEFAULT_BUDGET,
     CrossReport,
     InconclusiveError,
     OracleMismatchError,
@@ -210,23 +211,33 @@ class TestAlphaScan:
 
 class TestExhaustive:
     @pytest.mark.parametrize(
-        "l, n, value, nodes, graph6",
-        [(6, 11, 8, 10837, b"J?AA@?Oa?W?"), (7, 12, 6, 6450, b"K??CA?_C?O?_")],
+        "l, n, value, nodes, keyed, graph6",
+        [(6, 11, 8, 7352, 3319, b"J?AA@?Oa?W?"), (7, 12, 6, 3398, 1416, b"K??CA?_C?O?_")],
     )
-    def test_cold_search_pinned(self, l, n, value, nodes, graph6):
+    def test_cold_search_pinned(self, monkeypatch, l, n, value, nodes, keyed, graph6):
         # the key classes, and so the search order, witnesses and node counts,
-        # must not depend on how canonical_key computes its keys
+        # must not depend on how canonical_key computes its keys; keyed counts
+        # the labelled children the search had to key
+        calls = []
+        original = oracle.canonical_key
+
+        def counted(adj, n):
+            calls.append(n)
+            return original(adj, n)
+
+        monkeypatch.setattr(oracle, "canonical_key", counted)
         clear_cache()
         res = min_edges_exhaustive(l, n)
-        assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
+        assert (res.value, res.nodes, len(calls), write_graph6(res.witness)) == (value, nodes, keyed, graph6)
 
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
-        [(4, 8, 10, 1370, b"GCQb`o"), (5, 10, 10, 9065, b"I?`DA_gD?"), (8, 13, 6, 10183, b"L??CA?_C?O?_??")],
+        [(4, 8, 10, 1115, b"GCQb`o"), (5, 10, 10, 7073, b"I?`DA_gD?"), (8, 13, 6, 4442, b"L??CA?_C?O?_??")],
     )
     def test_search_pinned(self, l, n, value, nodes, graph6):
-        # recorded before the search reused its parents' twins and alpha;
-        # skipping work must not change what the search visits or returns
+        # values and witnesses recorded before the search reused its parents'
+        # twins and alpha must not move; nodes counts the children built,
+        # one per twin-minimal neighbourhood kept below independence l
         clear_cache()
         res = min_edges_exhaustive(l, n)
         assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
@@ -234,7 +245,11 @@ class TestExhaustive:
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
-        [(5, 12, 20, 95200, b"K?`DAaSY@YBo"), (6, 12, 11, 64433, b"K?AA@AOQ?g@O")],
+        [
+            (5, 12, 20, 81363, b"K?`DAaSY@YBo"),
+            (6, 12, 11, 48924, b"K?AA@AOQ?g@O"),
+            (6, 13, 15, 462694, b"L?AA@AOQ?gDOAo"),
+        ],
     )
     def test_larger_search_pinned(self, l, n, value, nodes, graph6):
         clear_cache()
@@ -352,3 +367,48 @@ class TestCrossValidate:
     def test_default_table_used(self):
         report = cross_validate(3, 6, table=default_table())
         assert report.all_ok()
+
+    @pytest.mark.parametrize(
+        "args, budget, message",
+        [
+            ((1, 5), -1, "need l_max >= 2 and n_max >= 1, got 1 and 5"),
+            ((3, 0), DEFAULT_BUDGET, "need l_max >= 2 and n_max >= 1, got 3 and 0"),
+        ],
+    )
+    def test_domain(self, args, budget, message):
+        # checked before any search, so an empty window cannot pass vacuously
+        with pytest.raises(ValueError, match=message):
+            cross_validate(*args, budget=budget)
+
+    def test_witness_failing_reverification(self, monkeypatch):
+        # a classifier that puts alpha at n passes the one-vertex cell, then
+        # must stop the run at the first witness it rejects, carrying that witness
+        monkeypatch.setattr(oracle, "classify", lambda g: GraphClass(True, g.n, g.n, g.edge_count()))
+        with pytest.raises(OracleMismatchError, match=r"witness for \(2,2\) fails re-verification") as info:
+            cross_validate(3, 4)
+        assert classify(info.value.witness).matches(2, 2, 1)
+
+    @pytest.mark.parametrize(
+        "value, bound, ok",
+        [
+            (10, EBound(10, 10, STATUS_EXACT), True),
+            (9, EBound(10, 10, STATUS_EXACT), False),
+            (11, EBound(10, 10, STATUS_EXACT), False),
+            (INF, EBound(10, 10, STATUS_EXACT), False),
+            (INF, EBound(INF, INF, STATUS_INFINITE), True),
+            (10, EBound(INF, INF, STATUS_INFINITE), False),
+            (9, EBound(10, INF, STATUS_OPEN), False),
+            (10, EBound(10, INF, STATUS_OPEN), True),
+            (INF, EBound(10, INF, STATUS_OPEN), True),
+            (9, EBound(10, 12, STATUS_RANGE), False),
+            (10, EBound(10, 12, STATUS_RANGE), True),
+            (12, EBound(10, 12, STATUS_RANGE), True),
+            (13, EBound(10, 12, STATUS_RANGE), False),
+            (INF, EBound(10, 12, STATUS_RANGE), False),
+            (9, EBound(10, None, STATUS_RANGE), False),
+            (10**6, EBound(10, None, STATUS_RANGE), True),
+            (INF, EBound(10, None, STATUS_RANGE), False),
+        ],
+    )
+    def test_consistency_on_both_sides_of_each_bound(self, value, bound, ok):
+        assert oracle._consistent(value, bound) is ok
