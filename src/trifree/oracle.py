@@ -17,7 +17,12 @@ Two tiers deliberately share no code with the bounds machinery:
   neighbourhood)), so alpha scans only that smaller graph, and a
   neighbourhood that uses higher-indexed open twins of the parent where
   lower ones are free would give a child isomorphic to one built from
-  the lower ones, so such neighbourhoods are never generated.
+  the lower ones, so such neighbourhoods are never generated.  A child is
+  kept only when its new vertex has the least vertex invariant (degree,
+  then neighbours per degree class) in the child, the first half of
+  McKay's canonical construction path ("Isomorph-free exhaustive
+  generation", 1998), so most labelled copies of a class are dropped
+  before they are keyed.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -321,6 +326,43 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
+def _invariants(adj: Sequence[int], verts: Sequence[int]) -> list[tuple[int, ...]]:
+    """The vertex invariant f(v) of each v in verts, in order.
+
+    f(v) is v's degree followed by the number of v's neighbours in each
+    degree class of the graph, classes in ascending degree.  It is built
+    from degrees and adjacency alone, so relabelling the graph permutes it.
+    """
+    degs = [row.bit_count() for row in adj]
+    index = {d: i for i, d in enumerate(sorted(set(degs)))}
+    out = []
+    for v in verts:
+        counts = [0] * len(index)
+        for w in _bits(adj[v]):
+            counts[index[degs[w]]] += 1
+        out.append((degs[v], *counts))
+    return out
+
+
+def _degree_gate(rows: Sequence[int]) -> tuple[int, int]:
+    """Largest |S| that can give a vertex joined to S the least degree, and what S must then hold.
+
+    rows is the parent.  The new vertex has degree |S|, and a parent vertex
+    gains one only if it is in S.  So with least parent degree d, |S| is at
+    most d + 1, and a set of size d + 1 must hold every vertex of degree d.
+    The empty parent admits only the empty set.
+    """
+    if not rows:
+        return 0, 0
+    degs = [row.bit_count() for row in rows]
+    low = min(degs)
+    must = 0
+    for v, d in enumerate(degs):
+        if d == low:
+            must |= 1 << v
+    return low + 1, must
+
+
 def _round(
     l: int,
     m: int,
@@ -344,7 +386,21 @@ def _round(
       swapping two of them is an automorphism of the parent, so a set that
       skips a lower twin for a higher one gives a child isomorphic to one
       that does not.  A vertex joins S only when the eligible open twin
-      just below it is in S already, and counter counts the children built.
+      just below it is in S already.
+    * A child is kept only if p has the least invariant f (_invariants) in
+      it.  p has degree |S|, so _degree_gate caps |S| and says what S must
+      hold at the cap, before any alpha scan; after the alpha test and the
+      padding return, p is compared in full with the vertices of its degree.
+
+    counter counts the children built, those that pass the alpha test.
+    Dropping p when it is not of least f loses no value.  Take any graph F
+    with at most t edges and alpha < l, and delete a least-f vertex again
+    and again.  Each graph on that chain is an induced subgraph of F, so it
+    passes the edge test, the degree cap and the alpha test of its level.
+    Its neighbourhood is made twin-minimal by twin swaps, which are parent
+    automorphisms fixing p, and f does not depend on the labelling, so the
+    chain is found level by level up to isomorphism, and the first t that
+    admits a graph does not move.
 
     keys maps labelled adjacency tuples to their canonical keys; it is
     shared by every round of one search.
@@ -363,11 +419,14 @@ def _round(
                 if rows[v].bit_count() < kmax:
                     elig.append((v, last.get(rows[v], 0)))
                     last[rows[v]] = 1 << v
+            cap, must = _degree_gate(rows)
             level = [0]
             size = 0
             while True:
                 if ep + size + floors[rem] > t:
                     break
+                if size == cap:
+                    level = [smask for smask in level if smask & must == must]
                 for smask in level:
                     a2 = 1 + _alpha_scan(rows, below & ~smask, ap - 1)
                     if a2 >= l:
@@ -386,13 +445,18 @@ def _round(
                         # completion, and it stays below independence l
                         child.extend([0] * rem)
                         return child
+                    ties = [v for v in range(p) if child[v].bit_count() == size]
+                    if ties:
+                        mine, *others = _invariants(child, [p, *ties])
+                        if min(others) < mine:
+                            continue
                     labelled = tuple(child)
                     key = keys.get(labelled)
                     if key is None:
                         key = keys[labelled] = canonical_key(child, p + 1)
                     if key not in nxt:
                         nxt[key] = (labelled, ep + size, a2)
-                if size == min(kmax, len(elig)):
+                if size == min(kmax, len(elig), cap):
                     break
                 bigger = []
                 for smask in level:
@@ -435,7 +499,8 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     climb stops; nodes counts only the work done by this call.
     Canonical keys are memoized per labelled graph for this call only, so
     the memo never outgrows one search.  budget caps nodes, the children
-    built: one per twin-minimal neighbourhood kept below independence l.
+    built: one per twin-minimal neighbourhood that gives the new vertex the
+    least degree and keeps the child below independence l.
     It must be nonnegative.
     """
     if l < 2:

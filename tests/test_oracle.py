@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -25,6 +27,7 @@ from trifree.oracle import (
 from helpers import brute_alpha, complete_bipartite, cycle, graphs, random_triangle_free
 
 INF = math.inf
+FIXTURES = Path(__file__).parent / "fixtures"
 
 RAMSEY = {
     2: (3, 3),
@@ -209,10 +212,58 @@ class TestAlphaScan:
         assert oracle._alpha_scan(g.adj, avail, best) == max(best, brute_alpha(induced(g, avail)))
 
 
+class TestLeastInvariant:
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(12), data=st.data())
+    def test_relabelling_permutes_invariants(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        before = oracle._invariants(g.adj, range(g.n))
+        after = oracle._invariants(relabelled(g, perm).adj, range(g.n))
+        assert [after[perm[v]] for v in range(g.n)] == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=graphs(11), data=st.data())
+    def test_degree_gate_rejects_only_children_the_full_test_rejects(self, g, data):
+        # S is an independent set of the parent g, grown greedily from a drawn mask
+        smask = 0
+        for v in range(g.n):
+            if data.draw(st.booleans()) and not g.adj[v] & smask:
+                smask |= 1 << v
+        child = [row | (smask >> v & 1) << g.n for v, row in enumerate(g.adj)] + [smask]
+        f = oracle._invariants(child, range(g.n + 1))
+        cap, must = oracle._degree_gate(g.adj)
+        size = smask.bit_count()
+        admitted = size < cap or (size == cap and smask & must == must)
+        # the gate admits S exactly when the new vertex has the least degree,
+        # the first part of its invariant
+        assert admitted == (size == min(f)[0])
+        if not admitted:
+            assert f[g.n] > min(f)
+
+
+def oracle_fixture_cells():
+    """Cells of the recorded value fixture, with the slow ones marked.
+
+    The values were recorded before the search dropped children whose new
+    vertex is not of least invariant.  Each slow cell costs over half a
+    second on top of the cells below it, and each ends its column, so no
+    cell left in the default run has to climb through one.
+    """
+    slow = {(5, 12), (6, 12), (7, 14)}
+    values = json.loads((FIXTURES / "oracle_values.json").read_text())["values"]
+    for l, column in values.items():
+        for n, value in enumerate(column):
+            marks = [pytest.mark.slow] if (int(l), n) in slow else []
+            yield pytest.param(int(l), n, INF if value is None else value, marks=marks, id=f"{l}-{n}")
+
+
 class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, keyed, graph6",
-        [(6, 11, 8, 7352, 3319, b"J?AA@?Oa?W?"), (7, 12, 6, 3398, 1416, b"K??CA?_C?O?_")],
+        [
+            pytest.param(6, 11, 8, 2062, 614, b"JqK?G?@???_", id="6-11"),
+            pytest.param(7, 12, 6, 977, 299, b"K`?G?C??G??@", id="7-12"),
+        ],
     )
     def test_cold_search_pinned(self, monkeypatch, l, n, value, nodes, keyed, graph6):
         # the key classes, and so the search order, witnesses and node counts,
@@ -232,12 +283,15 @@ class TestExhaustive:
 
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
-        [(4, 8, 10, 1115, b"GCQb`o"), (5, 10, 10, 7073, b"I?`DA_gD?"), (8, 13, 6, 4442, b"L??CA?_C?O?_??")],
+        [
+            pytest.param(4, 8, 10, 525, b"GqMQ?K", id="4-8"),
+            pytest.param(5, 10, 10, 2184, b"IqK?GGA?W", id="5-10"),
+            pytest.param(8, 13, 6, 1141, b"L`?G?C??G??@??", id="8-13"),
+        ],
     )
     def test_search_pinned(self, l, n, value, nodes, graph6):
-        # values and witnesses recorded before the search reused its parents'
-        # twins and alpha must not move; nodes counts the children built,
-        # one per twin-minimal neighbourhood kept below independence l
+        # nodes counts the children built: one per twin-minimal neighbourhood
+        # that gives the new vertex the least degree and stays below independence l
         clear_cache()
         res = min_edges_exhaustive(l, n)
         assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
@@ -246,9 +300,12 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
         [
-            (5, 12, 20, 81363, b"K?`DAaSY@YBo"),
-            (6, 12, 11, 48924, b"K?AA@AOQ?g@O"),
-            (6, 13, 15, 462694, b"L?AA@AOQ?gDOAo"),
+            pytest.param(5, 12, 20, 23513, b"KqMR?MGOP?_T", id="5-12"),
+            pytest.param(5, 13, 26, 41419, b"LqMR?WBaH`GH@d", id="5-13"),
+            # R(3, 5) = 14, from the search alone
+            pytest.param(5, 14, INF, 49117, None, id="5-14"),
+            pytest.param(6, 12, 11, 11184, b"KqK?GGA?W??@", id="6-12"),
+            pytest.param(6, 13, 15, 98823, b"LqK?GGA?[_G??B", id="6-13"),
         ],
     )
     def test_larger_search_pinned(self, l, n, value, nodes, graph6):
@@ -257,16 +314,27 @@ class TestExhaustive:
             res = min_edges_exhaustive(l, n)
         finally:
             clear_cache()
-        assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
+        found = None if res.witness is None else write_graph6(res.witness)
+        assert (res.value, res.nodes, found) == (value, nodes, graph6)
+
+    @pytest.mark.parametrize("l, n, value", oracle_fixture_cells())
+    def test_recorded_value(self, l, n, value):
+        # the cells share the memo, so each column is climbed once
+        res = min_edges_exhaustive(l, n)
+        assert res.value == value
+        if value == INF:
+            assert res.witness is None
+        else:
+            assert classify(res.witness).matches(l, n, value)
 
     def test_budget_message_pinned(self):
         clear_cache()
         try:
             with pytest.raises(InconclusiveError) as info:
-                min_edges_exhaustive(6, 11, budget=5000)
+                min_edges_exhaustive(6, 11, budget=1000)
         finally:
             clear_cache()
-        assert str(info.value) == "budget 5000 exhausted while settling order 11 at independence 6"
+        assert str(info.value) == "budget 1000 exhausted while settling order 11 at independence 6"
 
     def test_negative_budget_rejected_before_the_cache(self):
         min_edges_exhaustive(4, 8)
