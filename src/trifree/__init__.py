@@ -30,7 +30,7 @@ _EXPORTS = {
     "graph": (
         "Graph", "Graph6Error", "GraphClass", "classify", "decode_graph6", "edge_slack",
         "find_induced_k24", "independence_number", "is_triangle_free", "parse_graph6",
-        "reduced_graph", "second_degree", "write_graph6",
+        "write_graph6",
     ),
     "oracle": (
         "DEFAULT_BUDGET", "CrossReport", "InconclusiveError", "OracleMismatchError",

@@ -466,9 +466,6 @@ class BoundsTable:
                 f"({l},{n}) outside the tabulated domain l {L_MIN}..{L_MAX}, n {N_MIN}..{N_MAX}"
             ) from None
 
-    def known_lower(self, l: int, n: int) -> int | float:
-        return self.lookup(l, n).lower
-
     def finite_lower(self, l: int, n: int) -> int:
         """Largest finite lower bound known, ignoring nonexistence knowledge.
 

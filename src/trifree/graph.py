@@ -81,9 +81,9 @@ class Graph:
         return tuple(row.bit_count() for row in self.adj)
 
     def second_degrees(self) -> tuple[int, ...]:
-        """second_degree of every vertex, as the sum over degrees d of
-        d times the number of neighbours of degree d: one popcount per
-        degree class instead of a step per neighbour."""
+        """Sum of the neighbours' degrees of every vertex, as the sum over
+        degrees d of d times the number of neighbours of degree d: one
+        popcount per degree class instead of a step per neighbour."""
         classes: dict[int, int] = {}
         for v, row in enumerate(self.adj):
             d = row.bit_count()
@@ -106,22 +106,6 @@ class Graph:
             for off in _bits(rest):
                 out.append((u, u + 1 + off))
         return out
-
-    def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph, relabeled to 0..k-1 in ascending vertex order."""
-        keep = sorted(set(vertices))
-        if keep and not (0 <= keep[0] and keep[-1] < self.n):
-            raise ValueError("induced vertex set out of range")
-        index = {v: i for i, v in enumerate(keep)}
-        g = Graph(len(keep))
-        adj = [0] * len(keep)
-        for v in keep:
-            i = index[v]
-            for w in _bits(self.adj[v]):
-                if w in index:
-                    adj[i] |= 1 << index[w]
-        g.adj = tuple(adj)
-        return g
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -248,25 +232,6 @@ def independence_number(g: Graph) -> int:
 
     bb((1 << g.n) - 1, 0)
     return best
-
-
-def second_degree(g: Graph, v: int) -> int:
-    """Sum of the degrees over v's neighbors."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return sum(g.adj[w].bit_count() for w in _bits(g.adj[v]))
-
-
-def reduced_graph(g: Graph, v: int) -> Graph:
-    """Induced subgraph on everything outside the closed neighborhood of v.
-
-    For triangle-free g the edge count drops by exactly second_degree(g, v),
-    since a neighborhood carries no internal edges then.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    drop = g.adj[v] | (1 << v)
-    return g.induced(u for u in range(g.n) if not (drop >> u) & 1)
 
 
 def classify(g: Graph) -> GraphClass:

@@ -9,20 +9,23 @@ Two tiers deliberately share no code with the bounds machinery:
   value one order below.  The first budget admitting a graph is exact.
   Isomorph rejection keys each graph by canonical_key: equitable
   refinement plus individualisation-refinement, the core of nauty.  Each
-  call memoizes the key of every labelled graph it meets, because the
-  search replays the same levels for every budget and order; the memo
-  lives only as long as that call.  Each child is its parent plus one
-  vertex, and the parent settles two things: the child's independence
-  number is max(alpha(parent), 1 + alpha(parent minus the new vertex's
-  neighbourhood)), so alpha scans only that smaller graph, and a
-  neighbourhood that uses higher-indexed open twins of the parent where
-  lower ones are free would give a child isomorphic to one built from
-  the lower ones, so such neighbourhoods are never generated.  A child is
-  kept only when its new vertex has the least vertex invariant (degree,
-  then neighbours per degree class) in the child, the first half of
-  McKay's canonical construction path ("Isomorph-free exhaustive
-  generation", 1998), so most labelled copies of a class are dropped
-  before they are keyed.
+  call memoizes the key of every labelled graph it meets, or None for
+  one it drops, because the search replays the same levels for every
+  budget and order; the memo lives only as long as that call.  Each child
+  is its parent plus one vertex, and the parent settles two things: the
+  child's independence number is max(alpha(parent), 1 + alpha(parent
+  minus the new vertex's neighbourhood)), so alpha scans only that smaller
+  graph, and a neighbourhood that uses higher-indexed open twins of the
+  parent where lower ones are free would give a child isomorphic to one
+  built from the lower ones, so such neighbourhoods are never generated.
+  A child is kept only when its new vertex is in the first cell of the
+  child's equitable partition, the refinement canonical_key starts from.
+  That cell holds only vertices of least degree and moves with any
+  relabelling, so deleting a first-cell vertex again and again leads from
+  any graph back to the empty one through graphs the search keeps: the
+  first half of McKay's canonical construction path ("Isomorph-free
+  exhaustive generation", 1998).  Most labelled copies of a class are
+  dropped before they are keyed.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -250,6 +253,11 @@ def canonical_key(adj: Sequence[int], n: int) -> tuple:
     (n, m, *rows), where rows is the largest relabelled adjacency
     certificate over the leaves of the search tree.  The tree, and so the
     key, does not depend on the labelling.
+
+    Its root refinement is also the search's vertex invariant: _round
+    keeps a child only when the new vertex is in the first cell.  So a
+    change to _refine moves the witnesses the search returns, never its
+    values.
     """
     verts = [v for v in range(n) if adj[v]]
     m = len(verts)
@@ -326,31 +334,16 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _invariants(adj: Sequence[int], verts: Sequence[int]) -> list[tuple[int, ...]]:
-    """The vertex invariant f(v) of each v in verts, in order.
-
-    f(v) is v's degree followed by the number of v's neighbours in each
-    degree class of the graph, classes in ascending degree.  It is built
-    from degrees and adjacency alone, so relabelling the graph permutes it.
-    """
-    degs = [row.bit_count() for row in adj]
-    index = {d: i for i, d in enumerate(sorted(set(degs)))}
-    out = []
-    for v in verts:
-        counts = [0] * len(index)
-        for w in _bits(adj[v]):
-            counts[index[degs[w]]] += 1
-        out.append((degs[v], *counts))
-    return out
-
-
 def _degree_gate(rows: Sequence[int]) -> tuple[int, int]:
     """Largest |S| that can give a vertex joined to S the least degree, and what S must then hold.
 
-    rows is the parent.  The new vertex has degree |S|, and a parent vertex
-    gains one only if it is in S.  So with least parent degree d, |S| is at
-    most d + 1, and a set of size d + 1 must hold every vertex of degree d.
-    The empty parent admits only the empty set.
+    This is the degree part of the first-cell rule of _round, checked
+    before any alpha scan: the first cell of the equitable partition holds
+    only vertices of least degree.  rows is the parent.  The new vertex has
+    degree |S|, and a parent vertex gains one only if it is in S.  So with
+    least parent degree d, |S| is at most d + 1, and a set of size d + 1
+    must hold every vertex of degree d.  The empty parent admits only the
+    empty set.
     """
     if not rows:
         return 0, 0
@@ -370,7 +363,7 @@ def _round(
     floors: Sequence[int],
     counter: list[int],
     budget: int,
-    keys: dict[tuple[int, ...], tuple],
+    keys: dict[tuple[int, ...], tuple | None],
 ):
     """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None.
 
@@ -387,23 +380,32 @@ def _round(
       skips a lower twin for a higher one gives a child isomorphic to one
       that does not.  A vertex joins S only when the eligible open twin
       just below it is in S already.
-    * A child is kept only if p has the least invariant f (_invariants) in
-      it.  p has degree |S|, so _degree_gate caps |S| and says what S must
-      hold at the cap, before any alpha scan; after the alpha test and the
-      padding return, p is compared in full with the vertices of its degree.
+    * A child is kept only if p is in the first cell of its equitable
+      partition, refined by _refine from one cell of all vertices with the
+      full vertex mask as the only splitter, as canonical_key starts.  The
+      first split is by degree, ascending, and later splits keep the order
+      of the fragments, so the first cell holds only vertices of least
+      degree.  p has degree |S|, so _degree_gate caps |S| and says what S
+      must hold at the cap, before any alpha scan.  After the alpha test
+      and the padding return, the refinement runs only when another vertex
+      shares p's degree; otherwise the first cell is {p}.
 
     counter counts the children built, those that pass the alpha test.
-    Dropping p when it is not of least f loses no value.  Take any graph F
-    with at most t edges and alpha < l, and delete a least-f vertex again
-    and again.  Each graph on that chain is an induced subgraph of F, so it
-    passes the edge test, the degree cap and the alpha test of its level.
-    Its neighbourhood is made twin-minimal by twin swaps, which are parent
-    automorphisms fixing p, and f does not depend on the labelling, so the
-    chain is found level by level up to isomorphism, and the first t that
-    admits a graph does not move.
+    Dropping p when it is not in the first cell loses no value.  Take any
+    graph F with at most t edges and alpha < l, and delete a first-cell
+    vertex again and again.  Each graph on that chain is an induced
+    subgraph of F, so it passes the edge test, the degree cap and the alpha
+    test of its level.  Its neighbourhood is made twin-minimal by twin
+    swaps, which are parent automorphisms fixing p, so they keep p in the
+    first cell; and each refinement step depends only on the partition and
+    the counts, so relabelling a graph permutes its first cell with it.  So
+    the chain is found level by level up to isomorphism, and the first t
+    that admits a graph does not move.
 
-    keys maps labelled adjacency tuples to their canonical keys; it is
-    shared by every round of one search.
+    keys maps labelled adjacency tuples to their canonical keys, or to None
+    for a child dropped by the first-cell rule, so a replayed round neither
+    keys nor refines a child twice; it is shared by every round of one
+    search.
     """
     kmax = l - 1
     states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
@@ -445,16 +447,17 @@ def _round(
                         # completion, and it stays below independence l
                         child.extend([0] * rem)
                         return child
-                    ties = [v for v in range(p) if child[v].bit_count() == size]
-                    if ties:
-                        mine, *others = _invariants(child, [p, *ties])
-                        if min(others) < mine:
-                            continue
                     labelled = tuple(child)
-                    key = keys.get(labelled)
-                    if key is None:
-                        key = keys[labelled] = canonical_key(child, p + 1)
-                    if key not in nxt:
+                    if labelled in keys:
+                        key = keys[labelled]
+                    else:
+                        # p has the least degree, so when no other vertex
+                        # shares it the first cell is {p} without refining
+                        cells = [list(range(p + 1))]
+                        if any(child[v].bit_count() == size for v in range(p)):
+                            _refine(child, cells, [(1 << p + 1) - 1])
+                        key = keys[labelled] = canonical_key(child, p + 1) if p in cells[0] else None
+                    if key is not None and key not in nxt:
                         nxt[key] = (labelled, ep + size, a2)
                 if size == min(kmax, len(elig), cap):
                     break
@@ -475,7 +478,7 @@ def _round(
 
 
 def _solve(
-    l: int, m: int, counter: list[int], budget: int, keys: dict[tuple[int, ...], tuple]
+    l: int, m: int, counter: list[int], budget: int, keys: dict[tuple[int, ...], tuple | None]
 ) -> tuple[int | float, tuple[int, ...] | None]:
     if m == 0:
         return 0, ()
@@ -497,11 +500,11 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     first admitted graph is automatically minimal.  Values and witnesses
     are memoized per (l, n) up to the first order with no graph, where the
     climb stops; nodes counts only the work done by this call.
-    Canonical keys are memoized per labelled graph for this call only, so
-    the memo never outgrows one search.  budget caps nodes, the children
-    built: one per twin-minimal neighbourhood that gives the new vertex the
-    least degree and keeps the child below independence l.
-    It must be nonnegative.
+    Canonical keys, and the first-cell verdicts of dropped children, are
+    memoized per labelled graph for this call only, so the memo never
+    outgrows one search.  budget caps nodes, the children built: one per
+    twin-minimal neighbourhood that gives the new vertex the least degree
+    and keeps the child below independence l.  It must be nonnegative.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
@@ -510,7 +513,7 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     counter = [0]
-    keys: dict[tuple[int, ...], tuple] = {}
+    keys: dict[tuple[int, ...], tuple | None] = {}
     for m in range(n + 1):
         if (l, m) not in _CACHE:
             _CACHE[(l, m)] = _solve(l, m, counter, budget, keys)

@@ -34,6 +34,13 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def induced(g: Graph, mask: int) -> Graph:
+    """Subgraph induced by the vertices in mask, relabelled in ascending order."""
+    verts = [v for v in range(g.n) if mask >> v & 1]
+    index = {v: i for i, v in enumerate(verts)}
+    return Graph(len(verts), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index])
+
+
 def scan_k24(g: Graph):
     """Reference for find_induced_k24: scan every 4-subset of each common neighbourhood."""
     adj = g.adj

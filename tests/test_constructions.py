@@ -10,7 +10,7 @@ from trifree.constructions import (
     twisted_tesseract,
     w13,
 )
-from trifree.graph import Graph, classify, is_triangle_free, second_degree
+from trifree.graph import Graph, classify, is_triangle_free
 
 from helpers import complete, cycle, petersen
 
@@ -49,7 +49,7 @@ class TestWitnesses:
         c = classify(g)
         assert (c.triangle_free, c.alpha, c.n, c.e) == (True, 4, 13, 26)
         assert set(g.degrees()) == {4}
-        assert all(second_degree(g, v) == 16 for v in range(13))
+        assert g.second_degrees() == (16,) * 13
 
     def test_twisted_tesseract(self):
         g = twisted_tesseract()

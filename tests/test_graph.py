@@ -13,8 +13,6 @@ from trifree.graph import (
     find_induced_k24,
     independence_number,
     is_triangle_free,
-    reduced_graph,
-    second_degree,
 )
 from trifree.oracle import _alpha_scan
 
@@ -25,6 +23,7 @@ from helpers import (
     cycle,
     double_c5,
     graphs,
+    induced,
     maximal_triangle_free,
     petersen,
     random_graph,
@@ -85,14 +84,6 @@ class TestGraphBasics:
             Graph.from_adj([2, 0])  # bit out of range on vertex 0
         with pytest.raises(ValueError):
             Graph.from_adj([1, 3])  # self-loop on vertex 1
-
-    def test_induced(self):
-        g = cycle(5)
-        h = g.induced([0, 1, 2])
-        assert h.n == 3
-        assert h.edges() == [(0, 1), (1, 2)]
-        # order of the vertex list does not matter
-        assert g.induced([2, 0, 1]) == h
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])
@@ -201,42 +192,41 @@ class TestAlphaTimeGuard:
 
 class TestSecondDegree:
     def test_values(self):
-        g = cycle(5)
-        assert [second_degree(g, v) for v in range(5)] == [4] * 5
+        assert cycle(5).second_degrees() == (4,) * 5
         star = Graph(5, [(0, i) for i in range(1, 5)])
-        assert second_degree(star, 0) == 4
-        assert second_degree(star, 1) == 4
-        w = w13()
-        assert all(second_degree(w, v) == 16 for v in range(13))
+        assert star.second_degrees() == (4,) * 5
+        assert w13().second_degrees() == (16,) * 13
 
     def test_all_at_once_matches_per_vertex(self):
         rng = random.Random(405)
         graphs = [Graph(0), w13(), twisted_tesseract(), Graph(5, [(0, i) for i in range(1, 5)])]
         graphs += [random_graph(rng, rng.randrange(1, 20)) for _ in range(60)]
         for g in graphs:
-            assert g.second_degrees() == tuple(second_degree(g, v) for v in range(g.n))
+            assert g.second_degrees() == tuple(sum(g.degree(w) for w in g.neighbors(v)) for v in range(g.n))
 
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            second_degree(cycle(5), 5)
-        with pytest.raises(ValueError):
-            second_degree(cycle(5), -1)
+
+def reduced(g, v):
+    """Subgraph induced outside the closed neighbourhood of v."""
+    return induced(g, ((1 << g.n) - 1) & ~(g.adj[v] | 1 << v))
 
 
 class TestReducedGraph:
     def test_c5(self):
-        h = reduced_graph(cycle(5), 0)
+        h = reduced(cycle(5), 0)
         assert h.n == 2
         assert h.edge_count() == 1
 
     def test_edge_drop_matches_second_degree(self):
+        # in a triangle-free graph a neighbourhood carries no edge, so deleting
+        # the closed neighbourhood of v drops exactly v's second degree edges
         rng = random.Random(404)
         graphs = [w13(), twisted_tesseract(), petersen()]
         graphs += [random_triangle_free(rng, rng.randrange(1, 15)) for _ in range(120)]
         for g in graphs:
+            seconds = g.second_degrees()
             for v in range(g.n):
-                h = reduced_graph(g, v)
-                assert h.edge_count() == g.edge_count() - second_degree(g, v)
+                h = reduced(g, v)
+                assert h.edge_count() == g.edge_count() - seconds[v]
                 assert h.n == g.n - 1 - g.degree(v)
 
 

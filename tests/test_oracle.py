@@ -24,7 +24,7 @@ from trifree.oracle import (
     naive_min_edges,
 )
 
-from helpers import brute_alpha, complete_bipartite, cycle, graphs, random_triangle_free
+from helpers import brute_alpha, complete_bipartite, cycle, graphs, induced, random_triangle_free
 
 INF = math.inf
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -195,12 +195,6 @@ class TestCanonicalKeyAgainstNetworkx:
         assert canonical_key(relabelled(g, perm).adj, g.n) == canonical_key(g.adj, g.n)
 
 
-def induced(g, mask):
-    verts = [v for v in range(g.n) if mask >> v & 1]
-    index = {v: i for i, v in enumerate(verts)}
-    return Graph(len(verts), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index])
-
-
 class TestAlphaScan:
     @settings(max_examples=300, deadline=None)
     @given(g=graphs(12), data=st.data())
@@ -212,14 +206,27 @@ class TestAlphaScan:
         assert oracle._alpha_scan(g.adj, avail, best) == max(best, brute_alpha(induced(g, avail)))
 
 
+def first_cell(adj):
+    """First cell of the equitable partition, refined as canonical_key starts."""
+    cells = [list(range(len(adj)))]
+    oracle._refine(adj, cells, [(1 << len(adj)) - 1])
+    return set(cells[0])
+
+
 class TestLeastInvariant:
+    # the search keeps a child only when its new vertex is in the first cell
+
     @settings(max_examples=200, deadline=None)
     @given(g=graphs(12), data=st.data())
-    def test_relabelling_permutes_invariants(self, g, data):
+    def test_relabelling_maps_the_first_cell(self, g, data):
         perm = data.draw(st.permutations(range(g.n)))
-        before = oracle._invariants(g.adj, range(g.n))
-        after = oracle._invariants(relabelled(g, perm).adj, range(g.n))
-        assert [after[perm[v]] for v in range(g.n)] == before
+        assert first_cell(relabelled(g, perm).adj) == {perm[v] for v in first_cell(g.adj)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(12))
+    def test_first_cell_holds_only_least_degree(self, g):
+        degs = g.degrees()
+        assert {degs[v] for v in first_cell(g.adj)} <= {min(degs, default=0)}
 
     @settings(max_examples=300, deadline=None)
     @given(g=graphs(11), data=st.data())
@@ -230,15 +237,14 @@ class TestLeastInvariant:
             if data.draw(st.booleans()) and not g.adj[v] & smask:
                 smask |= 1 << v
         child = [row | (smask >> v & 1) << g.n for v, row in enumerate(g.adj)] + [smask]
-        f = oracle._invariants(child, range(g.n + 1))
         cap, must = oracle._degree_gate(g.adj)
         size = smask.bit_count()
         admitted = size < cap or (size == cap and smask & must == must)
         # the gate admits S exactly when the new vertex has the least degree,
-        # the first part of its invariant
-        assert admitted == (size == min(f)[0])
+        # and only a vertex of least degree can be in the first cell
+        assert admitted == (size == min(row.bit_count() for row in child))
         if not admitted:
-            assert f[g.n] > min(f)
+            assert g.n not in first_cell(child)
 
 
 def oracle_fixture_cells():
@@ -261,14 +267,16 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, keyed, graph6",
         [
-            pytest.param(6, 11, 8, 2062, 614, b"JqK?G?@???_", id="6-11"),
-            pytest.param(7, 12, 6, 977, 299, b"K`?G?C??G??@", id="7-12"),
+            pytest.param(6, 11, 8, 2062, 490, b"JqK?G?@???_", id="6-11"),
+            pytest.param(7, 12, 6, 977, 245, b"K`?G?C??G??@", id="7-12"),
         ],
     )
     def test_cold_search_pinned(self, monkeypatch, l, n, value, nodes, keyed, graph6):
         # the key classes, and so the search order, witnesses and node counts,
         # must not depend on how canonical_key computes its keys; keyed counts
-        # the labelled children the search had to key
+        # the labelled children the search had to key.  Witnesses and keyed
+        # counts depend on _refine's first cell, which picks the children
+        # kept; values never do
         calls = []
         original = oracle.canonical_key
 
@@ -284,7 +292,7 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
         [
-            pytest.param(4, 8, 10, 525, b"GqMQ?K", id="4-8"),
+            pytest.param(4, 8, 10, 525, b"Gr_Y@C", id="4-8"),
             pytest.param(5, 10, 10, 2184, b"IqK?GGA?W", id="5-10"),
             pytest.param(8, 13, 6, 1141, b"L`?G?C??G??@??", id="8-13"),
         ],
@@ -300,12 +308,12 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
         [
-            pytest.param(5, 12, 20, 23513, b"KqMR?MGOP?_T", id="5-12"),
-            pytest.param(5, 13, 26, 41419, b"LqMR?WBaH`GH@d", id="5-13"),
+            pytest.param(5, 12, 20, 23513, b"Kr_[IO`OGO_X", id="5-12"),
+            pytest.param(5, 13, 26, 41419, b"Lr_[IObP@AaPAL", id="5-13"),
             # R(3, 5) = 14, from the search alone
             pytest.param(5, 14, INF, 49117, None, id="5-14"),
             pytest.param(6, 12, 11, 11184, b"KqK?GGA?W??@", id="6-12"),
-            pytest.param(6, 13, 15, 98823, b"LqK?GGA?[_G??B", id="6-13"),
+            pytest.param(6, 13, 15, 98823, b"Lr_W?CA?O@g?G@", id="6-13"),
         ],
     )
     def test_larger_search_pinned(self, l, n, value, nodes, graph6):

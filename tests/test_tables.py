@@ -82,8 +82,8 @@ class TestLookup:
                 table.lookup(l, n)
 
     def test_known_and_finite_lower(self, table):
-        assert table.known_lower(11, 41) == 139
-        assert table.known_lower(7, 23) == INF
+        assert table.lookup(11, 41).lower == 139
+        assert table.lookup(7, 23).lower == INF
         assert table.finite_lower(7, 23) == formula_floor(6, 23)
         assert table.finite_lower(11, 41) == 139
 
