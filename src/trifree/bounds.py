@@ -36,7 +36,6 @@ STATUS_EXACT = "exact"
 STATUS_RANGE = "range"
 STATUS_OPEN = "open-above"
 STATUS_INFINITE = "infinite"
-_STATUSES = (STATUS_EXACT, STATUS_RANGE, STATUS_OPEN, STATUS_INFINITE)
 
 # canonical provenance tag order for EBound records
 PROVENANCE_TAGS = ("formula", "sporadic-table", "ramsey", "preliminary-upper")
@@ -132,21 +131,19 @@ def formula_floor(k: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class EBound:
-    """One cell of knowledge about e(l, n).
+    """One cell of knowledge about e(l, n): an interval and where it came from.
 
-    status is one of exact, range, open-above, infinite.  upper is None
-    when no finite upper bound is known but existence is settled, and
-    infinity when even existence is open above the lower bound.
+    upper is None when no finite upper bound is known but existence is
+    settled, and infinity when even existence is open above the lower
+    bound.  The status is read off the endpoints; admits says which values
+    of e(l, n) the interval allows.
     """
 
     lower: int | float
     upper: int | float | None
-    status: str
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
         for tag in self.provenance:
             if tag not in PROVENANCE_TAGS:
                 raise ValueError(f"unknown provenance tag {tag!r}")
@@ -154,29 +151,43 @@ class EBound:
         if list(self.provenance) != order:
             raise ValueError("provenance tags out of canonical order")
         lo, up = self.lower, self.upper
-        if self.status == STATUS_INFINITE:
-            if lo != INF or up != INF:
-                raise ValueError("infinite cells carry infinite endpoints")
-            return
-        if not isinstance(lo, int) or lo < 0:
-            raise ValueError(f"finite statuses need an integer lower bound >= 0, got {lo!r}")
-        if self.status == STATUS_EXACT:
-            if up != lo:
-                raise ValueError("exact cells need upper == lower")
-        elif self.status == STATUS_OPEN:
+        if lo == INF:
             if up != INF:
-                raise ValueError("open-above cells carry an infinite upper endpoint")
-        else:  # range
-            if up is not None and (not isinstance(up, int) or up < lo):
-                raise ValueError(f"range upper must be None or an int >= lower, got {up!r}")
+                raise ValueError("an infinite lower bound needs an infinite upper")
+        elif not isinstance(lo, int) or lo < 0:
+            raise ValueError(f"a finite lower bound must be an int >= 0, got {lo!r}")
+        elif up is not None and up != INF and (not isinstance(up, int) or up < lo):
+            raise ValueError(f"upper must be None, infinity or an int >= lower, got {up!r}")
+
+    @property
+    def status(self) -> str:
+        """infinite, open-above, exact or range, in that order of precedence."""
+        if self.lower == INF:
+            return STATUS_INFINITE
+        if self.upper == INF:
+            return STATUS_OPEN
+        if self.upper == self.lower:
+            return STATUS_EXACT
+        return STATUS_RANGE
+
+    def admits(self, value: int | float) -> bool:
+        """Whether e(l, n) = value fits this cell; value INF means no graph exists.
+
+        An upper of None asserts a graph exists, so only an infinite upper
+        admits INF.
+        """
+        if value == INF:
+            return self.upper == INF
+        return self.lower <= value and (self.upper is None or value <= self.upper)
 
     def display(self) -> str:
         """Human form: 60, 107–108, 128–(132), 161–∞, ∞."""
-        if self.status == STATUS_INFINITE:
+        status = self.status
+        if status == STATUS_INFINITE:
             return "∞"
-        if self.status == STATUS_EXACT:
+        if status == STATUS_EXACT:
             return str(self.lower)
-        if self.status == STATUS_OPEN:
+        if status == STATUS_OPEN:
             return f"{self.lower}–∞"
         if self.upper is None:
             return f"{self.lower}–?"
@@ -187,8 +198,8 @@ class EBound:
 def _merge(l: int, n: int, ramsey: tuple[int, int | None], rec: CellRecord | None) -> EBound:
     """Bound on e(l, n) from the formulas, the Ramsey interval and an optional record.
 
-    This is the one case split between infinite, open-above, exact and
-    range cells; general_value is the record-free case.
+    This is the one place where the three meet and the endpoints are
+    settled; general_value is the record-free case.
     """
     k = l - 1
     lo_r, hi_r = ramsey
@@ -197,7 +208,7 @@ def _merge(l: int, n: int, ramsey: tuple[int, int | None], rec: CellRecord | Non
         if rec is not None and rec.lower != INF:
             raise DataConflictError(f"finite record ({l},{n}) inside the infinite region (n >= {hi_r})")
         tags = ("sporadic-table", "ramsey") if rec is not None else ("ramsey",)
-        return EBound(INF, INF, STATUS_INFINITE, tags)
+        return EBound(INF, INF, tags)
 
     floor, exact = _window_case(n, k)
     rec_lower = rec.lower if rec is not None else 0
@@ -219,7 +230,7 @@ def _merge(l: int, n: int, ramsey: tuple[int, int | None], rec: CellRecord | Non
                 f"record ({l},{n}) claims a witness inside the unresolved existence window"
             )
         tags.append("ramsey")
-        return EBound(lower, INF, STATUS_OPEN, tuple(tags))
+        return EBound(lower, INF, tuple(tags))
 
     uppers = []
     if exact:
@@ -230,16 +241,9 @@ def _merge(l: int, n: int, ramsey: tuple[int, int | None], rec: CellRecord | Non
     if upper is not None and lower > upper:
         raise DataConflictError(f"cell ({l},{n}) merged to lower {lower} above upper {upper}")
 
-    if upper == lower:
-        return EBound(lower, lower, STATUS_EXACT, tuple(tags))
-    if (
-        rec is not None
-        and rec.preliminary
-        and upper is not None
-        and upper == rec.upper
-    ):
+    if rec is not None and rec.preliminary and upper is not None and upper != lower and upper == rec.upper:
         tags.append("preliminary-upper")
-    return EBound(lower, upper, STATUS_RANGE, tuple(tags))
+    return EBound(lower, upper, tuple(tags))
 
 
 def general_value(k: int, n: int, ramsey: tuple[int, int | None] | None = None) -> EBound:
@@ -291,6 +295,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the bounds data; a repeated key would silently drop a value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DataConflictError(f"key {key!r} repeated in one object of the bounds data")
+        obj[key] = value
+    return obj
+
+
 def _ramsey_from_json(raw) -> dict[int, tuple[int, int | None]]:
     """The 'ramsey' entry: l -> [lo, hi] with lo an int and hi an int or null."""
     if not isinstance(raw, dict):
@@ -308,6 +322,8 @@ def _ramsey_from_json(raw) -> dict[int, tuple[int, int | None]]:
             l = int(key)
         except ValueError:
             raise DataConflictError(f"bad ramsey key {key!r}") from None
+        if l in ramsey:
+            raise DataConflictError(f"duplicate ramsey interval for l={l} (key {key!r})")
         ramsey[l] = (pair[0], pair[1])
     return ramsey
 
@@ -345,8 +361,8 @@ class BoundsTable:
     The merge is eager: every cell in 2 <= l <= 13, 1 <= n <= 43 is
     computed at load time and any contradiction (a sporadic lower above a
     sporadic upper, a finite record inside the infinite region, duplicate
-    records) raises DataConflictError immediately rather than surfacing as
-    a quietly wrong bound later.
+    records, a Ramsey interval outside the domain) raises DataConflictError
+    immediately rather than surfacing as a quietly wrong bound later.
     """
 
     def __init__(
@@ -358,6 +374,9 @@ class BoundsTable:
     ) -> None:
         self.version = version
         self.notes = tuple(notes)
+        for l in ramsey:
+            if not L_MIN <= l <= L_MAX:
+                raise DataConflictError(f"ramsey interval for l={l} outside the table domain l {L_MIN}..{L_MAX}")
         self._ramsey = {}
         for l in range(L_MIN, L_MAX + 1):
             if l not in ramsey:
@@ -404,7 +423,7 @@ class BoundsTable:
     @classmethod
     def _from_json_text(cls, text: str) -> "BoundsTable":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as ex:
             raise DataConflictError(f"bounds data is not valid JSON: {ex}") from ex
         try:
@@ -574,12 +593,15 @@ def cells_from_json(text: str) -> dict[tuple[int, int], EBound]:
     obj = json.loads(text)
     out = {}
     for cell in obj["cells"]:
-        out[(int(cell["l"]), int(cell["n"]))] = EBound(
+        l, n = int(cell["l"]), int(cell["n"])
+        bound = EBound(
             endpoint_from_json(cell["lower"], "lower"),
             endpoint_from_json(cell["upper"], "upper"),
-            cell["status"],
             tuple(cell["provenance"]),
         )
+        if cell["status"] != bound.status:
+            raise DataConflictError(f"cell ({l},{n}) has status {cell['status']!r} but {bound.status!r} endpoints")
+        out[(l, n)] = bound
     return out
 
 

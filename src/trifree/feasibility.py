@@ -88,16 +88,28 @@ class DefectReport:
 
     caps pair each present degree with its second-degree budget (None when
     the degree is outright impossible), defect is the raw counting slack
-    before any refinement, and cap_sources records where each budget's
-    edge floor came from.
+    before any refinement (None when some budget is), and cap_sources
+    records where each budget's edge floor came from.  The verdict is read
+    off caps and defect.
     """
 
     distribution: DegreeDistribution
     caps: tuple[tuple[int, int | None], ...]
     defect: int | None
-    feasible: bool
-    eliminated_by: str | None
     cap_sources: tuple[tuple[int, str], ...]
+
+    @property
+    def feasible(self) -> bool:
+        """Whether every budget exists and the defect is nonnegative."""
+        return self.defect is not None and self.defect >= 0
+
+    @property
+    def eliminated_by(self) -> str | None:
+        """impossible-degree:d for the first degree without a budget, negative-defect, or None."""
+        for d, cap in self.caps:
+            if cap is None:
+                return f"impossible-degree:{d}"
+        return "negative-defect" if self.defect < 0 else None
 
 
 def _check_order(l: int, n: int, e: int = 0) -> None:
@@ -159,31 +171,14 @@ def total_defect(
         raise ValueError(f"distribution degree sum {dist.degree_sum} != 2e = {2 * e}")
     caps = []
     sources = []
-    impossible = None
     for d, _ in dist.counts:
         cap, src = _cap(l, n, e, d, table)
         caps.append((d, cap))
         sources.append((d, src))
-        if cap is None and impossible is None:
-            impossible = d
-    if impossible is not None:
-        return DefectReport(
-            distribution=dist,
-            caps=tuple(caps),
-            defect=None,
-            feasible=False,
-            eliminated_by=f"impossible-degree:{impossible}",
-            cap_sources=tuple(sources),
-        )
-    gamma = sum(c * (cap - d * d) for (d, c), (_, cap) in zip(dist.counts, caps))
-    return DefectReport(
-        distribution=dist,
-        caps=tuple(caps),
-        defect=gamma,
-        feasible=gamma >= 0,
-        eliminated_by=None if gamma >= 0 else "negative-defect",
-        cap_sources=tuple(sources),
-    )
+    gamma = None
+    if all(cap is not None for _, cap in caps):
+        gamma = sum(c * (cap - d * d) for (d, c), (_, cap) in zip(dist.counts, caps))
+    return DefectReport(distribution=dist, caps=tuple(caps), defect=gamma, cap_sources=tuple(sources))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +382,6 @@ def _walk(degs, contrib, caps, sources, tests, hulls, n, target) -> Iterator[Def
                     distribution=DegreeDistribution(present),
                     caps=tuple((d, caps[d]) for d, _ in present),
                     defect=g,
-                    feasible=True,
-                    eliminated_by=None,
                     cap_sources=tuple((d, sources[d]) for d, _ in present),
                 )
             continue

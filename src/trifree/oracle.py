@@ -11,7 +11,8 @@ Two tiers deliberately share no code with the bounds machinery:
   refinement plus individualisation-refinement, the core of nauty.  Each
   call memoizes the key of every labelled graph it meets, or None for
   one it drops, because the search replays the same levels for every
-  budget and order; the memo lives only as long as that call.  Each child
+  budget and order; the memo lives only as long as that call, but grows
+  with the whole of it, so only the node budget bounds it.  Each child
   is its parent plus one vertex, and the parent settles two things: the
   child's independence number is max(alpha(parent), 1 + alpha(parent
   minus the new vertex's neighbourhood)), so alpha scans only that smaller
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .bounds import INF, STATUS_EXACT, STATUS_INFINITE, STATUS_OPEN, BoundsTable, EBound, default_table
+from .bounds import INF, BoundsTable, EBound, default_table
 from .graph import Graph, _bits, classify, write_graph6
 
 DEFAULT_BUDGET = 5_000_000
@@ -246,37 +247,24 @@ def _best_certificate(adj: Sequence[int], nbrs: Sequence[Sequence[int]], cells: 
 def canonical_key(adj: Sequence[int], n: int) -> tuple:
     """Isomorphism-invariant key: equal keys if and only if isomorphic.
 
-    Isolated vertices only contribute to the count n.  The m others are
-    refined to an equitable ordered partition, which is then searched by
+    adj holds the n adjacency rows.  The vertices are refined to an
+    equitable ordered partition, which is then searched by
     individualisation-refinement with automorphism pruning (McKay &
     Piperno, "Practical graph isomorphism, II", 2014).  The key is
-    (n, m, *rows), where rows is the largest relabelled adjacency
-    certificate over the leaves of the search tree.  The tree, and so the
-    key, does not depend on the labelling.
+    (n, *rows), where rows is the largest relabelled adjacency certificate
+    over the leaves of the search tree.  The tree, and so the key, does
+    not depend on the labelling.  Isolated vertices are twins in a cell of
+    their own, so they are never individualised.
 
     Its root refinement is also the search's vertex invariant: _round
     keeps a child only when the new vertex is in the first cell.  So a
     change to _refine moves the witnesses the search returns, never its
     values.
     """
-    verts = [v for v in range(n) if adj[v]]
-    m = len(verts)
-    if m == 0:
-        return (n, 0)
-    if m < n:
-        index = {v: i for i, v in enumerate(verts)}
-        local = [0] * m
-        for v in verts:
-            row = 0
-            for w in _bits(adj[v]):
-                row |= 1 << index[w]
-            local[index[v]] = row
-    else:
-        local = adj
-    nbrs = [list(_bits(row)) for row in local]
-    cells = [list(range(m))]
-    _refine(local, cells, [(1 << m) - 1])
-    return (n, m, *_best_certificate(local, nbrs, cells))
+    nbrs = [list(_bits(adj[v])) for v in range(n)]
+    cells = [list(range(n))]
+    _refine(adj, cells, [(1 << n) - 1])
+    return (n, *_best_certificate(adj, nbrs, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +374,7 @@ def _round(
       first split is by degree, ascending, and later splits keep the order
       of the fragments, so the first cell holds only vertices of least
       degree.  p has degree |S|, so _degree_gate caps |S| and says what S
-      must hold at the cap, before any alpha scan.  After the alpha test
-      and the padding return, the refinement runs only when another vertex
-      shares p's degree; otherwise the first cell is {p}.
+      must hold at the cap, before any alpha scan.
 
     counter counts the children built, those that pass the alpha test.
     Dropping p when it is not in the first cell loses no value.  Take any
@@ -451,11 +437,8 @@ def _round(
                     if labelled in keys:
                         key = keys[labelled]
                     else:
-                        # p has the least degree, so when no other vertex
-                        # shares it the first cell is {p} without refining
                         cells = [list(range(p + 1))]
-                        if any(child[v].bit_count() == size for v in range(p)):
-                            _refine(child, cells, [(1 << p + 1) - 1])
+                        _refine(child, cells, [(1 << p + 1) - 1])
                         key = keys[labelled] = canonical_key(child, p + 1) if p in cells[0] else None
                     if key is not None and key not in nxt:
                         nxt[key] = (labelled, ep + size, a2)
@@ -501,10 +484,11 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     are memoized per (l, n) up to the first order with no graph, where the
     climb stops; nodes counts only the work done by this call.
     Canonical keys, and the first-cell verdicts of dropped children, are
-    memoized per labelled graph for this call only, so the memo never
-    outgrows one search.  budget caps nodes, the children built: one per
-    twin-minimal neighbourhood that gives the new vertex the least degree
-    and keeps the child below independence l.  It must be nonnegative.
+    memoized per labelled graph for this call only; the memo grows with
+    the whole search, so memory too is bounded only through budget.
+    budget caps nodes, the children built: one per twin-minimal
+    neighbourhood that gives the new vertex the least degree and keeps the
+    child below independence l.  It must be nonnegative.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
@@ -537,7 +521,10 @@ class CrossEntry:
     n: int
     value: int | float
     bound: EBound
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.bound.admits(self.value)
 
 
 @dataclass(frozen=True)
@@ -555,19 +542,6 @@ class CrossReport:
             mark = "ok" if entry.ok else "MISMATCH"
             out.append(f"l={entry.l} n={entry.n}: oracle {val}, table {entry.bound.display()}: {mark}")
         return out
-
-
-def _consistent(value: int | float, bound: EBound) -> bool:
-    if bound.status == STATUS_EXACT:
-        return value == bound.lower
-    if bound.status == STATUS_INFINITE:
-        return value == INF
-    if bound.status == STATUS_OPEN:
-        return value == INF or value >= bound.lower
-    if value == INF:
-        # a finite-range cell asserts existence
-        return False
-    return bound.lower <= value and (bound.upper is None or value <= bound.upper)
 
 
 def cross_validate(
@@ -596,7 +570,7 @@ def cross_validate(
             res = min_edges_exhaustive(l, n, budget)
             nodes += res.nodes
             bound = table.bound(l, n)
-            ok = _consistent(res.value, bound)
+            ok = bound.admits(res.value)
             if ok and res.value != INF:
                 cls = classify(res.witness)
                 if not cls.matches(l, n, res.value):
@@ -606,7 +580,7 @@ def cross_validate(
                         f"graph6={write_graph6(res.witness).decode('ascii')}",
                         witness=res.witness,
                     )
-            entries.append(CrossEntry(l=l, n=n, value=res.value, bound=bound, ok=ok))
+            entries.append(CrossEntry(l=l, n=n, value=res.value, bound=bound))
             if not ok:
                 g6 = ""
                 if res.witness is not None:

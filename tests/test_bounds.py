@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trifree.bounds import (
     INF,
@@ -14,6 +16,17 @@ from trifree.bounds import (
     lower_bound_global,
     lower_bound_steep,
     lower_bound_steeper,
+)
+
+# every valid interval: infinite, open above, and finite lower bounds under a
+# finite, an unknown (None) or an infinite upper
+INTERVALS = st.one_of(
+    st.just(EBound(INF, INF)),
+    st.builds(
+        lambda lo, up: EBound(lo, up if up in (None, INF) else lo + up),
+        st.integers(0, 60),
+        st.one_of(st.none(), st.just(INF), st.integers(0, 3)),
+    ),
 )
 
 
@@ -155,34 +168,62 @@ class TestGeneralValue:
 
 class TestEBound:
     def test_display(self):
-        assert EBound(60, 60, "exact").display() == "60"
-        assert EBound(107, 108, "range").display() == "107–108"
-        assert EBound(128, 132, "range", ("preliminary-upper",)).display() == "128–(132)"
-        assert EBound(161, INF, "open-above").display() == "161–∞"
-        assert EBound(INF, INF, "infinite").display() == "∞"
-        assert EBound(151, None, "range").display() == "151–?"
+        assert EBound(60, 60).display() == "60"
+        assert EBound(107, 108).display() == "107–108"
+        assert EBound(128, 132, ("preliminary-upper",)).display() == "128–(132)"
+        assert EBound(161, INF).display() == "161–∞"
+        assert EBound(INF, INF).display() == "∞"
+        assert EBound(151, None).display() == "151–?"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EBound(5, 5, "mystery")
+            EBound(5, 5, ("folklore",))
         with pytest.raises(ValueError):
-            EBound(5, 5, "exact", ("folklore",))
+            EBound(5, 5, ("sporadic-table", "formula"))  # out of order
         with pytest.raises(ValueError):
-            EBound(5, 5, "exact", ("sporadic-table", "formula"))  # out of order
+            EBound(6, 5)
         with pytest.raises(ValueError):
-            EBound(5, INF, "infinite")
+            EBound(-1, 5)
         with pytest.raises(ValueError):
-            EBound(5, 6, "exact")
+            EBound(1.5, 5)
         with pytest.raises(ValueError):
-            EBound(5, 6, "open-above")
+            EBound(INF, None)
         with pytest.raises(ValueError):
-            EBound(6, 5, "range")
-        with pytest.raises(ValueError):
-            EBound(-1, 5, "range")
-        with pytest.raises(ValueError):
-            EBound(1.5, 5, "range")
+            EBound(INF, 5)
+        # the status is read off the endpoints, not passed: the old
+        # positional form reads it as provenance, rejected tag by tag
+        with pytest.raises(ValueError, match="unknown provenance tag 'e'"):
+            EBound(5, 5, "exact")
+
+    @given(INTERVALS)
+    def test_status_follows_the_endpoints(self, bound):
+        lo, up = bound.lower, bound.upper
+        if lo == INF:
+            want = "infinite"
+        elif up == INF:
+            want = "open-above"
+        elif up == lo:
+            want = "exact"
+        else:
+            want = "range"
+        assert bound.status == want
+
+    @given(INTERVALS)
+    def test_admits_near_both_endpoints(self, bound):
+        lo, up = bound.lower, bound.upper
+        probes = {INF, 0, 10**9}
+        for end in (lo, up):
+            if end not in (None, INF):
+                probes |= {end - 1, end, end + 1}
+        for value in probes:
+            if value == INF:
+                # INF means no graph exists; None and finite uppers assert one does
+                want = up == INF
+            else:
+                want = lo <= value and (up is None or value <= up)
+            assert bound.admits(value) is want, value
 
     def test_frozen(self):
-        b = EBound(5, 5, "exact")
+        b = EBound(5, 5)
         with pytest.raises(Exception):
             b.lower = 6

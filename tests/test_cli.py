@@ -102,8 +102,20 @@ class TestBounds:
             {"cells": 5},
             {"notes": 5},
             {"cells": [{"l": 7, "n": 22, "lower": 60, "upper": 61, "preliminary": "false"}]},
+            {"ramsey": {**RAMSEY_JSON, "14": [50, 60]}},
+            {"ramsey": {**RAMSEY_JSON, "07": [23, 24]}},
         ],
-        ids=["bare-int-pair", "string-lo", "list-map", "string-version", "int-cells", "int-notes", "string-flag"],
+        ids=[
+            "bare-int-pair",
+            "string-lo",
+            "list-map",
+            "string-version",
+            "int-cells",
+            "int-notes",
+            "string-flag",
+            "key-past-domain",
+            "duplicate-key",
+        ],
     )
     def test_malformed_data_file(self, tmp_path, capsys, change):
         data = {"version": 1, "ramsey": RAMSEY_JSON, "cells": [], **change}

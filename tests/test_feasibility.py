@@ -149,6 +149,18 @@ class TestTotalDefect:
         assert not rep.feasible
         assert rep.eliminated_by == "negative-defect"
 
+    def test_verdict_is_read_off_caps_and_defect(self):
+        dist = DegreeDistribution.from_dict({4: 1, 6: 2})
+        cases = [
+            (((4, None), (6, None)), None, False, "impossible-degree:4"),
+            (((4, 20), (6, None)), None, False, "impossible-degree:6"),
+            (((4, 20), (6, 36)), -1, False, "negative-defect"),
+            (((4, 20), (6, 36)), 0, True, None),
+        ]
+        for caps, defect, feasible, eliminated_by in cases:
+            rep = DefectReport(dist, caps, defect, ())
+            assert (rep.feasible, rep.eliminated_by) == (feasible, eliminated_by), caps
+
     def test_cap_sources_present(self):
         rep = total_defect(DegreeDistribution.from_dict({5: 2, 6: 21}), 7, 23, 68)
         assert [d for d, _ in rep.cap_sources] == [5, 6]

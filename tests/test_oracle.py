@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trifree.oracle as oracle
-from trifree.bounds import STATUS_EXACT, STATUS_INFINITE, STATUS_OPEN, STATUS_RANGE, BoundsTable, EBound, default_table
+from trifree.bounds import BoundsTable, EBound, default_table
 from trifree.constructions import circulant, twisted_tesseract, w13
 from trifree.graph import Graph, GraphClass, classify, is_triangle_free, write_graph6
 from trifree.oracle import (
     DEFAULT_BUDGET,
+    CrossEntry,
     CrossReport,
     InconclusiveError,
     OracleMismatchError,
@@ -104,12 +105,16 @@ class TestCanonicalKey:
             assert canonical_key(g.adj, n) == canonical_key(relabelled(g, perm).adj, n)
 
     def test_isolated_vertices_affect_only_order(self):
-        c5 = [0b00110, 0b01001, 0b10001, 0b00010, 0b00100]
-        padded = list(c5) + [0, 0]
-        k5 = canonical_key(c5, 5)
-        k7 = canonical_key(padded, 7)
-        assert k5[0] == 5 and k7[0] == 7
-        assert k5[1:] == k7[1:]
+        # C5 plus two isolated vertices keys alike wherever they sit, and
+        # apart from C5 plus a disjoint edge on the same seven vertices
+        c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+        keys = set()
+        for isolated in combinations(range(7), 2):
+            spots = [v for v in range(7) if v not in isolated]
+            keys.add(canonical_key(Graph(7, [(spots[u], spots[v]) for u, v in c5]).adj, 7))
+        assert len(keys) == 1
+        with_edge = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
+        assert canonical_key(with_edge.adj, 7) not in keys
 
 
 def andrasfai(k):
@@ -467,24 +472,25 @@ class TestCrossValidate:
     @pytest.mark.parametrize(
         "value, bound, ok",
         [
-            (10, EBound(10, 10, STATUS_EXACT), True),
-            (9, EBound(10, 10, STATUS_EXACT), False),
-            (11, EBound(10, 10, STATUS_EXACT), False),
-            (INF, EBound(10, 10, STATUS_EXACT), False),
-            (INF, EBound(INF, INF, STATUS_INFINITE), True),
-            (10, EBound(INF, INF, STATUS_INFINITE), False),
-            (9, EBound(10, INF, STATUS_OPEN), False),
-            (10, EBound(10, INF, STATUS_OPEN), True),
-            (INF, EBound(10, INF, STATUS_OPEN), True),
-            (9, EBound(10, 12, STATUS_RANGE), False),
-            (10, EBound(10, 12, STATUS_RANGE), True),
-            (12, EBound(10, 12, STATUS_RANGE), True),
-            (13, EBound(10, 12, STATUS_RANGE), False),
-            (INF, EBound(10, 12, STATUS_RANGE), False),
-            (9, EBound(10, None, STATUS_RANGE), False),
-            (10**6, EBound(10, None, STATUS_RANGE), True),
-            (INF, EBound(10, None, STATUS_RANGE), False),
+            (10, EBound(10, 10), True),
+            (9, EBound(10, 10), False),
+            (11, EBound(10, 10), False),
+            (INF, EBound(10, 10), False),
+            (INF, EBound(INF, INF), True),
+            (10, EBound(INF, INF), False),
+            (9, EBound(10, INF), False),
+            (10, EBound(10, INF), True),
+            (INF, EBound(10, INF), True),
+            (9, EBound(10, 12), False),
+            (10, EBound(10, 12), True),
+            (12, EBound(10, 12), True),
+            (13, EBound(10, 12), False),
+            (INF, EBound(10, 12), False),
+            (9, EBound(10, None), False),
+            (10**6, EBound(10, None), True),
+            (INF, EBound(10, None), False),
         ],
     )
     def test_consistency_on_both_sides_of_each_bound(self, value, bound, ok):
-        assert oracle._consistent(value, bound) is ok
+        assert bound.admits(value) is ok
+        assert CrossEntry(3, 5, value, bound).ok is ok

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trifree.bounds import (
     INF,
@@ -165,6 +167,24 @@ class TestEmit:
         assert payload["version"] == 1
         assert len(payload["cells"]) == 7 * 22
 
+    @given(st.integers(2, 13), st.integers(2, 13), st.integers(1, 43), st.integers(1, 43))
+    def test_json_round_trip_any_window(self, l1, l2, n1, n2):
+        table = default_table()
+        l_span, n_span = (min(l1, l2), max(l1, l2)), (min(n1, n2), max(n1, n2))
+        cells = cells_from_json(table.emit(l_span, n_span, fmt="json"))
+        assert len(cells) == (l_span[1] - l_span[0] + 1) * (n_span[1] - n_span[0] + 1)
+        for (l, n), cell in cells.items():
+            assert cell == table.lookup(l, n), (l, n)
+
+    @pytest.mark.parametrize("l, n", [(7, 22), (10, 35), (10, 40), (10, 42), (11, 43)])
+    def test_json_status_must_match_the_endpoints(self, table, l, n):
+        payload = json.loads(table.emit((l, l), (n, n), fmt="json"))
+        cell = payload["cells"][0]
+        for status in {"exact", "range", "open-above", "infinite"} - {cell["status"]}:
+            cell["status"] = status
+            with pytest.raises(DataConflictError, match=f"has status '{status}'"):
+                cells_from_json(json.dumps(payload))
+
     def test_endpoint_codec(self):
         for value in (None, 0, 139, INF):
             assert endpoint_from_json(endpoint_to_json(value)) == value
@@ -256,6 +276,12 @@ class TestConstructionValidation:
         with pytest.raises(DataConflictError):
             make_table([], bad)
 
+    @pytest.mark.parametrize("l, interval", [(14, (50, 60)), (1, (9, 3)), (0, (1, 1))])
+    def test_ramsey_interval_outside_the_domain(self, l, interval):
+        # an interval the table would never read is an error, not a silent no-op
+        with pytest.raises(DataConflictError, match=f"ramsey interval for l={l} outside the table domain"):
+            make_table([], {**RAMSEY, l: interval})
+
 
 class TestFileLoading:
     def test_override_file(self, tmp_path):
@@ -280,6 +306,24 @@ class TestFileLoading:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(DataConflictError):
+            BoundsTable.from_file(path)
+
+    @pytest.mark.parametrize("key", ["7", "07", " 7", "+7"])
+    def test_duplicate_ramsey_key(self, tmp_path, key):
+        # each key names l = 7, so one of the two intervals would silently win
+        ramsey = json.dumps({str(l): [lo, hi] for l, (lo, hi) in RAMSEY.items()})
+        ramsey = ramsey[:-1] + f', "{key}": [23, 24]}}'
+        path = tmp_path / "dup.json"
+        path.write_text(f'{{"version": 1, "ramsey": {ramsey}, "cells": []}}', encoding="utf-8")
+        with pytest.raises(DataConflictError, match="duplicate ramsey interval for l=7|key '7' repeated"):
+            BoundsTable.from_file(path)
+
+    def test_repeated_key_in_a_record(self, tmp_path):
+        ramsey = json.dumps({str(l): [lo, hi] for l, (lo, hi) in RAMSEY.items()})
+        cells = '[{"l": 7, "n": 22, "lower": 60, "upper": 61, "lower": 62}]'
+        path = tmp_path / "dup.json"
+        path.write_text(f'{{"version": 1, "ramsey": {ramsey}, "cells": {cells}}}', encoding="utf-8")
+        with pytest.raises(DataConflictError, match="key 'lower' repeated"):
             BoundsTable.from_file(path)
 
     def test_bad_endpoint_text(self, tmp_path):
