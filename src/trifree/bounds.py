@@ -129,6 +129,21 @@ def formula_floor(k: int, n: int) -> int:
 # bound records
 
 
+def _interval_fault(lower, upper) -> str:
+    """Why lower..upper is no valid interval of e(l, n), or "" when it is one.
+
+    An infinite lower needs an infinite upper; a finite lower is an int
+    >= 0; upper is None, infinity or an int >= lower.
+    """
+    if lower == INF:
+        return "" if upper == INF else "an infinite lower bound needs an infinite upper"
+    if not _is_int(lower) or lower < 0:
+        return f"a finite lower bound must be an int >= 0, got {lower!r}"
+    if upper is not None and upper != INF and (not _is_int(upper) or upper < lower):
+        return f"upper must be None, infinity or an int >= lower, got {upper!r}"
+    return ""
+
+
 @dataclass(frozen=True)
 class EBound:
     """One cell of knowledge about e(l, n): an interval and where it came from.
@@ -150,14 +165,9 @@ class EBound:
         order = [t for t in PROVENANCE_TAGS if t in self.provenance]
         if list(self.provenance) != order:
             raise ValueError("provenance tags out of canonical order")
-        lo, up = self.lower, self.upper
-        if lo == INF:
-            if up != INF:
-                raise ValueError("an infinite lower bound needs an infinite upper")
-        elif not isinstance(lo, int) or lo < 0:
-            raise ValueError(f"a finite lower bound must be an int >= 0, got {lo!r}")
-        elif up is not None and up != INF and (not isinstance(up, int) or up < lo):
-            raise ValueError(f"upper must be None, infinity or an int >= lower, got {up!r}")
+        fault = _interval_fault(self.lower, self.upper)
+        if fault:
+            raise ValueError(fault)
 
     @property
     def status(self) -> str:
@@ -393,12 +403,9 @@ class BoundsTable:
             key = (rec.l, rec.n)
             if key in self._records:
                 raise DataConflictError(f"duplicate record for ({rec.l},{rec.n})")
-            if rec.lower == INF:
-                if rec.upper not in (None, INF):
-                    raise DataConflictError(f"record ({rec.l},{rec.n}) is infinite below a finite upper")
-            else:
-                if rec.upper is not None and rec.upper != INF and rec.upper < rec.lower:
-                    raise DataConflictError(f"record ({rec.l},{rec.n}) has lower {rec.lower} above upper {rec.upper}")
+            fault = _interval_fault(rec.lower, rec.upper)
+            if fault:
+                raise DataConflictError(f"record ({rec.l},{rec.n}): {fault}")
             self._records[key] = rec
 
         # an explicit infinite record at (l, n) proves R(3, l) <= n, so it

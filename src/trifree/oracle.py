@@ -7,18 +7,22 @@ Two tiers deliberately share no code with the bounds machinery:
 * min_edges_exhaustive grows graphs one vertex at a time with isomorphism
   rejection per level, iterating an edge budget upward from the known
   value one order below.  The first budget admitting a graph is exact.
-  Isomorph rejection keys each graph by canonical_key: equitable
-  refinement plus individualisation-refinement, the core of nauty.  Each
-  call memoizes the key of every labelled graph it meets, or None for
-  one it drops, because the search replays the same levels for every
-  budget and order; the memo lives only as long as that call, but grows
-  with the whole of it, so only the node budget bounds it.  Each child
-  is its parent plus one vertex, and the parent settles two things: the
-  child's independence number is max(alpha(parent), 1 + alpha(parent
-  minus the new vertex's neighbourhood)), so alpha scans only that smaller
-  graph, and a neighbourhood that uses higher-indexed open twins of the
-  parent where lower ones are free would give a child isomorphic to one
-  built from the lower ones, so such neighbourhoods are never generated.
+  Isomorph rejection buckets each level's children by the quotient of
+  their equitable partition, an isomorphism invariant, and calls
+  canonical_key (equitable refinement plus individualisation-refinement,
+  the core of nauty) only on children whose quotients collide.  Each call
+  memoizes the quotient's hash of every labelled graph it meets, or None
+  for one it drops, and the canonical key of every graph it had to key,
+  because the search replays the same levels for every budget and order;
+  the memos live only as long as that call, but grow with the whole of
+  it, so only the node budget bounds them.  Each child is its parent plus
+  one vertex, and the parent settles two things: the child's independence
+  number is max(alpha(parent), 1 + alpha(parent minus the new vertex's
+  neighbourhood)), so alpha scans only that smaller graph, and only until
+  the child is shown to reach independence l; and a neighbourhood that
+  uses higher-indexed open twins of the parent where lower ones are free
+  would give a child isomorphic to one built from the lower ones, so such
+  neighbourhoods are never generated.
   A child is kept only when its new vertex is in the first cell of the
   child's equitable partition, the refinement canonical_key starts from.
   That cell holds only vertices of least degree and moves with any
@@ -26,7 +30,8 @@ Two tiers deliberately share no code with the bounds machinery:
   any graph back to the empty one through graphs the search keeps: the
   first half of McKay's canonical construction path ("Isomorph-free
   exhaustive generation", 1998).  Most labelled copies of a class are
-  dropped before they are keyed.
+  dropped before their quotient is taken, and most classes are alone in
+  their bucket, so they are never keyed.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -68,15 +73,19 @@ class OracleResult:
 # small helpers shared by both tiers
 
 
-def _alpha_scan(adj: Sequence[int], avail: int | None = None, best: int = 0) -> int:
+def _alpha_scan(adj: Sequence[int], avail: int | None = None, best: int = 0, stop: int | None = None) -> int:
     """Larger of best and the independence number of the graph induced by avail.
 
     avail defaults to every vertex.  Plain take/skip branching on the lowest
     bit; a branch that cannot beat the incumbent best is cut, so a high
-    starting incumbent prunes most of the scan.  Kept intentionally separate
-    from graph.independence_number so the two implementations can check
-    each other.
+    starting incumbent prunes most of the scan.  With stop given the scan
+    returns as soon as the incumbent reaches it: the result is exact below
+    stop and at least stop otherwise.  Kept intentionally separate from
+    graph.independence_number so the two implementations can check each
+    other.
     """
+    if stop is None:
+        stop = len(adj) + 1
 
     def go(avail: int, size: int) -> None:
         nonlocal best
@@ -86,6 +95,8 @@ def _alpha_scan(adj: Sequence[int], avail: int | None = None, best: int = 0) -> 
             low = avail & -avail
             v = low.bit_length() - 1
             go(avail & ~(adj[v] | low), size + 1)
+            if best >= stop:
+                return
             avail ^= low
         if size > best:
             best = size
@@ -131,6 +142,18 @@ def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> Non
                     continue
             out.append(cell)
         cells[:] = out
+
+
+def _quotient(adj: Sequence[int], cells: list[list[int]]) -> int:
+    """Hash of the quotient of the equitable partition cells.
+
+    The quotient is the cell sizes in order, then each cell's neighbour
+    count into every cell; cells is equitable, so one vertex per cell gives
+    the counts, and every cell must hold one.  _refine commutes with
+    relabelling, so isomorphic graphs have equal quotients.
+    """
+    masks = [sum(1 << v for v in cell) for cell in cells]
+    return hash((*map(len, cells), *[(adj[cell[0]] & mask).bit_count() for cell in cells for mask in masks]))
 
 
 def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
@@ -256,10 +279,12 @@ def canonical_key(adj: Sequence[int], n: int) -> tuple:
     not depend on the labelling.  Isolated vertices are twins in a cell of
     their own, so they are never individualised.
 
-    Its root refinement is also the search's vertex invariant: _round
-    keeps a child only when the new vertex is in the first cell.  So a
-    change to _refine moves the witnesses the search returns, never its
-    values.
+    Its root refinement is also the search's vertex invariant and graph
+    invariant: _round keeps a child only when the new vertex is in the
+    first cell, and keys it only when the quotient of that partition
+    collides with another child's at its level.  So a change to _refine
+    moves the witnesses the search returns and the graphs it keys, never
+    its values.
     """
     nbrs = [list(_bits(adj[v])) for v in range(n)]
     cells = [list(range(n))]
@@ -351,7 +376,8 @@ def _round(
     floors: Sequence[int],
     counter: list[int],
     budget: int,
-    keys: dict[tuple[int, ...], tuple | None],
+    keys: dict[tuple[int, ...], int | None],
+    canon: dict[tuple[int, ...], tuple],
 ):
     """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None.
 
@@ -362,7 +388,8 @@ def _round(
     below degree l - 1, the sets of each size in lexicographic order:
 
     * alpha(child) = max(ap, 1 + alpha(parent - S)), so alpha scans only the
-      parent outside S, with ap - 1 as the starting incumbent.
+      parent outside S, with ap - 1 as the starting incumbent, and stops
+      once it reaches l - 1: the child is rejected either way.
     * Eligible vertices with equal rows (open twins) are never adjacent, and
       swapping two of them is an automorphism of the parent, so a set that
       skips a lower twin for a higher one gives a child isomorphic to one
@@ -388,17 +415,27 @@ def _round(
     the chain is found level by level up to isomorphism, and the first t
     that admits a graph does not move.
 
-    keys maps labelled adjacency tuples to their canonical keys, or to None
-    for a child dropped by the first-cell rule, so a replayed round neither
-    keys nor refines a child twice; it is shared by every round of one
-    search.
+    A kept child joins the next level only if it is isomorphic to none
+    before it.  Children are bucketed by the hash of their quotient
+    (_quotient), which isomorphic graphs share: a child alone in its
+    bucket is new, and one that shares a bucket is compared with the
+    bucket's children by canonical_key.  The level lists its classes in
+    the order they arrive, so the first child of each class is kept and
+    the buckets change nothing the search returns.
+
+    keys maps labelled adjacency tuples to the hash of their quotient, or
+    to None for a child dropped by the first-cell rule, and canon maps the
+    children that shared a bucket to their canonical keys, so a replayed
+    round neither refines nor keys a child twice.  Both are shared by
+    every round of one search.
     """
     kmax = l - 1
     states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     for p in range(m):
         rem = m - p - 1
         below = (1 << p) - 1
-        nxt: dict[tuple, tuple[tuple[int, ...], int, int]] = {}
+        nxt: list[tuple[tuple[int, ...], int, int]] = []
+        buckets: dict[int, list[tuple[int, ...]]] = {}  # quotient hash -> one child per class
         for rows, ep, ap in states:
             # eligible vertices, each with the mask of its open twin just below, or 0
             elig = []
@@ -416,7 +453,7 @@ def _round(
                 if size == cap:
                     level = [smask for smask in level if smask & must == must]
                 for smask in level:
-                    a2 = 1 + _alpha_scan(rows, below & ~smask, ap - 1)
+                    a2 = 1 + _alpha_scan(rows, below & ~smask, ap - 1, kmax)
                     if a2 >= l:
                         continue
                     counter[0] += 1
@@ -435,13 +472,25 @@ def _round(
                         return child
                     labelled = tuple(child)
                     if labelled in keys:
-                        key = keys[labelled]
+                        quot = keys[labelled]
                     else:
                         cells = [list(range(p + 1))]
                         _refine(child, cells, [(1 << p + 1) - 1])
-                        key = keys[labelled] = canonical_key(child, p + 1) if p in cells[0] else None
-                    if key is not None and key not in nxt:
-                        nxt[key] = (labelled, ep + size, a2)
+                        quot = keys[labelled] = _quotient(child, cells) if p in cells[0] else None
+                    if quot is None:
+                        continue
+                    reps = buckets.get(quot)
+                    if reps is None:
+                        buckets[quot] = [labelled]
+                    else:
+                        for g in (labelled, *reps):
+                            if g not in canon:
+                                canon[g] = canonical_key(g, p + 1)
+                        key = canon[labelled]
+                        if any(canon[g] == key for g in reps):
+                            continue
+                        reps.append(labelled)
+                    nxt.append((labelled, ep + size, a2))
                 if size == min(kmax, len(elig), cap):
                     break
                 bigger = []
@@ -454,14 +503,19 @@ def _round(
                     break
                 level = bigger
                 size += 1
-        states = list(nxt.values())
+        states = nxt
         if not states:
             return None
     return None
 
 
 def _solve(
-    l: int, m: int, counter: list[int], budget: int, keys: dict[tuple[int, ...], tuple | None]
+    l: int,
+    m: int,
+    counter: list[int],
+    budget: int,
+    keys: dict[tuple[int, ...], int | None],
+    canon: dict[tuple[int, ...], tuple],
 ) -> tuple[int | float, tuple[int, ...] | None]:
     if m == 0:
         return 0, ()
@@ -470,7 +524,7 @@ def _solve(
     kmax = l - 1
     tmax = min(m * kmax // 2, m * m // 4)
     for t in range(int(prev), tmax + 1):
-        wit = _round(l, m, t, floors, counter, budget, keys)
+        wit = _round(l, m, t, floors, counter, budget, keys, canon)
         if wit is not None:
             return t, tuple(wit)
     return INF, None
@@ -483,8 +537,9 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     first admitted graph is automatically minimal.  Values and witnesses
     are memoized per (l, n) up to the first order with no graph, where the
     climb stops; nodes counts only the work done by this call.
-    Canonical keys, and the first-cell verdicts of dropped children, are
-    memoized per labelled graph for this call only; the memo grows with
+    Quotient hashes (None for a child the first-cell rule drops), and
+    the canonical keys of the children whose quotients collided, are
+    memoized per labelled graph for this call only; the memos grow with
     the whole search, so memory too is bounded only through budget.
     budget caps nodes, the children built: one per twin-minimal
     neighbourhood that gives the new vertex the least degree and keeps the
@@ -497,10 +552,11 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     counter = [0]
-    keys: dict[tuple[int, ...], tuple | None] = {}
+    keys: dict[tuple[int, ...], int | None] = {}
+    canon: dict[tuple[int, ...], tuple] = {}
     for m in range(n + 1):
         if (l, m) not in _CACHE:
-            _CACHE[(l, m)] = _solve(l, m, counter, budget, keys)
+            _CACHE[(l, m)] = _solve(l, m, counter, budget, keys, canon)
         value, wadj = _CACHE[(l, m)]
         if value == INF:
             # no graph at order m means none at any larger order either

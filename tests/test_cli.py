@@ -104,6 +104,8 @@ class TestBounds:
             {"cells": [{"l": 7, "n": 22, "lower": 60, "upper": 61, "preliminary": "false"}]},
             {"ramsey": {**RAMSEY_JSON, "14": [50, 60]}},
             {"ramsey": {**RAMSEY_JSON, "07": [23, 24]}},
+            {"cells": [{"l": 10, "n": 41, "lower": "inf", "upper": None}]},
+            {"cells": [{"l": 10, "n": 41, "lower": -5, "upper": None}]},
         ],
         ids=[
             "bare-int-pair",
@@ -115,6 +117,8 @@ class TestBounds:
             "string-flag",
             "key-past-domain",
             "duplicate-key",
+            "infinite-lower-null-upper",
+            "negative-lower",
         ],
     )
     def test_malformed_data_file(self, tmp_path, capsys, change):

@@ -205,17 +205,38 @@ class TestAlphaScan:
     @given(g=graphs(12), data=st.data())
     def test_restricted_scan_matches_brute_force(self, g, data):
         # the search scans the parent outside a child's neighbourhood, starting
-        # from the parent's alpha minus one; best may be -1 at the empty parent
+        # from the parent's alpha minus one; best may be -1 at the empty parent.
+        # With stop the scan is exact below stop and at least stop otherwise
         avail = data.draw(st.integers(0, (1 << g.n) - 1))
         best = data.draw(st.integers(-1, 12))
-        assert oracle._alpha_scan(g.adj, avail, best) == max(best, brute_alpha(induced(g, avail)))
+        stop = data.draw(st.none() | st.integers(0, g.n + 1))
+        result = oracle._alpha_scan(g.adj, avail, best, stop)
+        want = max(best, brute_alpha(induced(g, avail)))
+        if stop is None:
+            assert result == want
+        else:
+            assert min(result, stop) == min(want, stop)
+
+    def test_scan_returns_once_the_incumbent_reaches_stop(self):
+        # a path with its middle vertex lowest: the first branch takes the
+        # middle, an independent set of one, and alpha is 2
+        path = [0b110, 0b001, 0b001]
+        assert [oracle._alpha_scan(path, None, 0, stop) for stop in (None, 3, 2, 1)] == [2, 2, 2, 1]
+
+
+def equitable(adj):
+    """The equitable partition, refined as canonical_key starts."""
+    cells = [list(range(len(adj)))]
+    oracle._refine(adj, cells, [(1 << len(adj)) - 1])
+    return cells
 
 
 def first_cell(adj):
-    """First cell of the equitable partition, refined as canonical_key starts."""
-    cells = [list(range(len(adj)))]
-    oracle._refine(adj, cells, [(1 << len(adj)) - 1])
-    return set(cells[0])
+    return set(equitable(adj)[0])
+
+
+def quotient(adj):
+    return oracle._quotient(adj, equitable(adj))
 
 
 class TestLeastInvariant:
@@ -252,6 +273,30 @@ class TestLeastInvariant:
             assert g.n not in first_cell(child)
 
 
+class TestQuotient:
+    # the search keys a child only when its quotient collides with another's
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(12).filter(lambda g: g.n), data=st.data())
+    def test_relabelling_keeps_the_quotient(self, g, data):
+        # a child always has a vertex, so the empty graph is never quotiented
+        perm = data.draw(st.permutations(range(g.n)))
+        assert quotient(relabelled(g, perm).adj) == quotient(g.adj)
+
+    def test_equal_keys_give_equal_quotients(self, triangle_free_classes):
+        # every labelled extension of the 107 classes at n = 7, so each of
+        # the 410 classes at n = 8 arrives in many labellings
+        quotients = {}
+        for adj in triangle_free_classes[7]:
+            for nbhd in range(1 << 7):
+                if any(nbhd >> v & 1 and adj[v] & nbhd for v in range(7)):
+                    continue
+                child = [row | (nbhd >> v & 1) << 7 for v, row in enumerate(adj)] + [nbhd]
+                quotients.setdefault(canonical_key(child, 8), set()).add(quotient(child))
+        assert len(quotients) == 410
+        assert all(len(found) == 1 for found in quotients.values())
+
+
 def oracle_fixture_cells():
     """Cells of the recorded value fixture, with the slow ones marked.
 
@@ -272,16 +317,17 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, keyed, graph6",
         [
-            pytest.param(6, 11, 8, 2062, 490, b"JqK?G?@???_", id="6-11"),
-            pytest.param(7, 12, 6, 977, 245, b"K`?G?C??G??@", id="7-12"),
+            pytest.param(6, 11, 8, 2062, 128, b"JqK?G?@???_", id="6-11"),
+            pytest.param(7, 12, 6, 977, 33, b"K`?G?C??G??@", id="7-12"),
         ],
     )
     def test_cold_search_pinned(self, monkeypatch, l, n, value, nodes, keyed, graph6):
         # the key classes, and so the search order, witnesses and node counts,
         # must not depend on how canonical_key computes its keys; keyed counts
-        # the labelled children the search had to key.  Witnesses and keyed
-        # counts depend on _refine's first cell, which picks the children
-        # kept; values never do
+        # the labelled children the search had to key, those whose quotient
+        # collides with another child's at their level.  Witnesses and keyed
+        # counts depend on _refine's partition, which picks the children kept
+        # and their quotients; values never do
         calls = []
         original = oracle.canonical_key
 
@@ -293,6 +339,19 @@ class TestExhaustive:
         clear_cache()
         res = min_edges_exhaustive(l, n)
         assert (res.value, res.nodes, len(calls), write_graph6(res.witness)) == (value, nodes, keyed, graph6)
+
+    @pytest.mark.parametrize("l, n", [(6, 11), (7, 12), (4, 8), (5, 10), (8, 13)])
+    def test_keying_every_child_changes_nothing(self, monkeypatch, l, n):
+        # with one quotient for all, every child collides and is keyed: the
+        # buckets only skip keys, they never change what the search keeps
+        clear_cache()
+        want = min_edges_exhaustive(l, n)
+        monkeypatch.setattr(oracle, "_quotient", lambda adj, cells: 0)
+        clear_cache()
+        try:
+            assert min_edges_exhaustive(l, n) == want
+        finally:
+            clear_cache()
 
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",

@@ -10,6 +10,7 @@ from trifree.bounds import (
     BoundsTable,
     CellRecord,
     DataConflictError,
+    EBound,
     cells_from_json,
     default_table,
     endpoint_from_json,
@@ -325,6 +326,31 @@ class TestFileLoading:
         path.write_text(f'{{"version": 1, "ramsey": {ramsey}, "cells": {cells}}}', encoding="utf-8")
         with pytest.raises(DataConflictError, match="key 'lower' repeated"):
             BoundsTable.from_file(path)
+
+    @pytest.mark.parametrize(
+        "lower, upper, fault",
+        [
+            ("inf", None, "an infinite lower bound needs an infinite upper"),
+            ("inf", 60, "an infinite lower bound needs an infinite upper"),
+            (-5, None, "a finite lower bound must be an int >= 0, got -5"),
+            (62, 61, "upper must be None, infinity or an int >= lower, got 61"),
+        ],
+    )
+    def test_record_interval_follows_the_ebound_rule(self, tmp_path, lower, upper, fault):
+        # one rule decides a valid interval, for a loaded record and an EBound
+        # alike; (10, 41) is past the Ramsey floor 40, so an infinite record
+        # there would otherwise be taken as a proof that R(3, 10) <= 41
+        data = {
+            "version": 1,
+            "ramsey": {str(l): [lo, hi] for l, (lo, hi) in RAMSEY.items()},
+            "cells": [{"l": 10, "n": 41, "lower": lower, "upper": upper}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(DataConflictError, match=rf"record \(10,41\): {fault}"):
+            BoundsTable.from_file(path)
+        with pytest.raises(ValueError, match=fault):
+            EBound(endpoint_from_json(lower), endpoint_from_json(upper))
 
     def test_bad_endpoint_text(self, tmp_path):
         data = {
