@@ -6,9 +6,9 @@ convention e(l, n) = infinity when no such graph exists (that is, when
 n >= R(3, l)).  The convenience variable k = l - 1 is the largest
 independent set actually allowed.
 
-Everything here is exact: the piecewise-linear floors are evaluated over
-the rationals, and floats never enter the arithmetic.  math.inf is used
-purely as the "no such graph" sentinel.
+Everything here is exact and float-free: the merge and the window case
+use integers only, Fraction comes only from the four public rational
+floors, and math.inf is used purely as the "no such graph" sentinel.
 
 The Ramsey intervals, the table domain and the JSON endpoint format are
 known only to this module; other modules ask a BoundsTable.  The intervals
@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 INF = math.inf
 
@@ -63,17 +65,27 @@ def lower_bound_basic(n: int, k: int) -> int:
 
 def lower_bound_steep(n: int, k: int) -> Fraction:
     """The slope-8 floor 8n - 39k/2, exact over the rationals."""
+    from fractions import Fraction
+
     return Fraction(16 * n - 39 * k, 2)
 
 
 def lower_bound_steeper(n: int, k: int) -> Fraction:
     """The slope-9 floor 9n - 23k."""
+    from fractions import Fraction
+
     return Fraction(9 * n - 23 * k)
+
+
+def _global_fifths(n: int, k: int) -> int:
+    return 34 * n - 78 * k
 
 
 def lower_bound_global(n: int, k: int) -> Fraction:
     """The floor 34n/5 - 78k/5, proven for all n and k (no window restriction)."""
-    return Fraction(34 * n - 78 * k, 5)
+    from fractions import Fraction
+
+    return Fraction(_global_fifths(n, k), 5)
 
 
 def conjectured_lower(n: int, k: int) -> Fraction:
@@ -96,20 +108,20 @@ def _window_case(n: int, k: int) -> tuple[int, bool]:
     plus a small constant is exact; past that only a lower bound is known,
     and the all-orders slope-34/5 line can overtake the local one.
     """
-    x = Fraction(4 * n - 13 * k, 4)
+    x4 = 4 * n - 13 * k  # 4x, so every threshold below is an integer
     base = lower_bound_basic(n, k)
-    if x <= -1 or x == 0:
+    if x4 <= -4 or x4 == 0:
         return base, True
-    if x < 0:
+    if x4 < 0:
         return base + 1, True
-    if x <= Fraction(1, 2):
+    if x4 <= 2:
         return base + 2, True
-    if x <= Fraction(3, 2):
+    if x4 <= 6:
         return base + 3, True
     # the strict step past the window is only established for k <= 12;
     # beyond that just non-exactness is claimed
     bump = 4 if k <= 12 else 1
-    return max(base + bump, math.ceil(lower_bound_global(n, k))), False
+    return max(base + bump, -(-_global_fifths(n, k) // 5)), False  # ceil(lower_bound_global)
 
 
 def formula_floor(k: int, n: int) -> int:
@@ -144,8 +156,7 @@ def _interval_fault(lower, upper) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class EBound:
+class EBound(namedtuple("EBound", ("lower", "upper", "provenance"))):
     """One cell of knowledge about e(l, n): an interval and where it came from.
 
     upper is None when no finite upper bound is known but existence is
@@ -154,20 +165,19 @@ class EBound:
     of e(l, n) the interval allows.
     """
 
-    lower: int | float
-    upper: int | float | None
-    provenance: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for tag in self.provenance:
+    def __new__(cls, lower: int | float, upper: int | float | None, provenance: tuple[str, ...] = ()) -> EBound:
+        for tag in provenance:
             if tag not in PROVENANCE_TAGS:
                 raise ValueError(f"unknown provenance tag {tag!r}")
-        order = [t for t in PROVENANCE_TAGS if t in self.provenance]
-        if list(self.provenance) != order:
+        order = [t for t in PROVENANCE_TAGS if t in provenance]
+        if list(provenance) != order:
             raise ValueError("provenance tags out of canonical order")
-        fault = _interval_fault(self.lower, self.upper)
+        fault = _interval_fault(lower, upper)
         if fault:
             raise ValueError(fault)
+        return super().__new__(cls, lower, upper, provenance)
 
     @property
     def status(self) -> str:
@@ -273,8 +283,7 @@ def general_value(k: int, n: int, ramsey: tuple[int, int | None] | None = None) 
 # the merged bounds table
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(NamedTuple):
     """One raw data record before merging with the formulas."""
 
     l: int

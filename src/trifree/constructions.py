@@ -13,7 +13,7 @@ each pattern edge contributes a connector vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .graph import MAX_VERTICES, Graph, is_triangle_free
@@ -62,8 +62,7 @@ def twisted_tesseract() -> Graph:
     return Graph(16, edges)
 
 
-@dataclass(frozen=True)
-class PatternSummary:
+class PatternSummary(namedtuple("PatternSummary", ("vertex_count", "edge_count", "degree_square_sum"))):
     """Counting summary of an extension pattern.
 
     vertex_count, edge_count and the sum of squared degrees are all the
@@ -72,12 +71,10 @@ class PatternSummary:
     max degree 4 could produce.
     """
 
-    vertex_count: int
-    edge_count: int
-    degree_square_sum: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        t, m, q = self.vertex_count, self.edge_count, self.degree_square_sum
+    def __new__(cls, vertex_count: int, edge_count: int, degree_square_sum: int) -> PatternSummary:
+        t, m, q = vertex_count, edge_count, degree_square_sum
         if t < 1:
             raise ValueError("pattern needs at least one vertex")
         if m < 0 or q < 0:
@@ -88,6 +85,7 @@ class PatternSummary:
         if q * t < (2 * m) ** 2:
             # Cauchy-Schwarz on the degree sequence
             raise ValueError("inadmissible pattern: degree squares too small for the edge count")
+        return super().__new__(cls, t, m, q)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "PatternSummary":

@@ -21,9 +21,8 @@ defect's linear relaxation, the upper concave envelope of (d, cap(d) - d^2).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections import Counter, namedtuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .bounds import INF, BoundsTable, default_table
 
@@ -35,23 +34,23 @@ class UnknownRegionError(ValueError):
     """No edge floor is available for the requested reduced graphs."""
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
+class DegreeDistribution(namedtuple("DegreeDistribution", ("counts",))):
     """Degree multiset as ((degree, count), ...) in ascending degree order.
 
     Absent degrees mean count zero; stored counts are always positive.
     """
 
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, counts: tuple[tuple[int, int], ...]) -> DegreeDistribution:
         last = -1
-        for d, c in self.counts:
+        for d, c in counts:
             if d <= last:
                 raise ValueError("degrees must be strictly ascending")
             if d < 0 or c < 1:
                 raise ValueError(f"bad entry ({d},{c}): need degree >= 0, count >= 1")
             last = d
+        return super().__new__(cls, counts)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, int]) -> "DegreeDistribution":
@@ -82,8 +81,7 @@ class DegreeDistribution:
         return "{" + ", ".join(f"{d}:{c}" for d, c in self.counts) + "}"
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Outcome of the counting test for one distribution.
 
     caps pair each present degree with its second-degree budget (None when

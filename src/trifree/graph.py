@@ -12,8 +12,7 @@ make sense on triangle-free input say so and assert it in debug mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 128
 
@@ -117,8 +116,7 @@ class Graph:
         return f"Graph(n={self.n}, e={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """Classification record: what kind of graph is this.
 
     A caller asking "is g a witness for (l, n, e)?" tests matches(l, n, e),

@@ -40,9 +40,8 @@ classifier (a third, separately written code path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import INF, BoundsTable, EBound, default_table
 from .graph import Graph, _bits, classify, write_graph6
@@ -62,8 +61,7 @@ class OracleMismatchError(RuntimeError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: int | float
     witness: Graph | None
     nodes: int
@@ -571,8 +569,7 @@ def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> Oracle
 # cross-validation against the table
 
 
-@dataclass(frozen=True)
-class CrossEntry:
+class CrossEntry(NamedTuple):
     l: int
     n: int
     value: int | float
@@ -583,8 +580,7 @@ class CrossEntry:
         return self.bound.admits(self.value)
 
 
-@dataclass(frozen=True)
-class CrossReport:
+class CrossReport(NamedTuple):
     entries: tuple[CrossEntry, ...]
     nodes: int
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trifree.bounds import (
     INF,
     EBound,
+    _window_case,
     conjectured_lower,
     default_table,
     formula_floor,
@@ -47,8 +48,8 @@ class TestLinearForms:
         assert lower_bound_steeper(43, 11) == 134
         assert lower_bound_global(10, 4) == Fraction(28, 5)
         assert math.ceil(lower_bound_global(10, 4)) == 6
-        assert isinstance(lower_bound_steep(5, 3), Fraction)
-        assert isinstance(lower_bound_global(5, 3), Fraction)
+        for floor in (lower_bound_steep, lower_bound_steeper, lower_bound_global, conjectured_lower):
+            assert isinstance(floor(5, 3), Fraction)
 
     def test_conjectured(self):
         assert conjectured_lower(35, 10) == 85
@@ -77,7 +78,30 @@ class TestRamseyIntervals:
             default_table().ramsey_range(1)
 
 
+def _window_case_over_rationals(n, k):
+    """The window case as stated, with x = n - 13k/4 as a Fraction."""
+    x = Fraction(4 * n - 13 * k, 4)
+    base = lower_bound_basic(n, k)
+    if x <= -1 or x == 0:
+        return base, True
+    if x < 0:
+        return base + 1, True
+    if x <= Fraction(1, 2):
+        return base + 2, True
+    if x <= Fraction(3, 2):
+        return base + 3, True
+    bump = 4 if k <= 12 else 1
+    return max(base + bump, math.ceil(Fraction(34 * n - 78 * k, 5))), False
+
+
 class TestFormulaFloor:
+    def test_integer_window_case_matches_the_rationals(self):
+        for k in range(1, 101):
+            for n in range(301):
+                want = _window_case_over_rationals(n, k)
+                assert _window_case(n, k) == want, (n, k)
+                assert formula_floor(k, n) == want[0], (n, k)
+
     def test_spot_values(self):
         assert formula_floor(4, 13) == 26
         assert formula_floor(6, 22) == 58

@@ -479,7 +479,20 @@ def _fresh(args, stdin=None):
 class TestFreshProcess:
     """Behaviour that in-process tests cannot see once every module is loaded."""
 
-    LOADS = "import sys; from trifree.cli import main; code = main(sys.argv[1:]); print(code, sorted(m for m in sys.modules if m.startswith('trifree')))"
+    # standard modules no start-up path may load; dataclasses pulls in inspect
+    # and fractions pulls in decimal, and both are slow to import
+    HEAVY = "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
+
+    # prints the exit code, the trifree modules and the HEAVY modules the call
+    # loaded; a set difference, so whatever site preloads is not counted
+    LOADS = "; ".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "from trifree.cli import main",
+        "code = main(sys.argv[1:])",
+        "new = set(sys.modules) - before",
+        f"print(code, sorted(m for m in new if m.startswith('trifree')), sorted(new & {HEAVY}))",
+    ])
 
     # subcommand -> (its arguments, the trifree submodules it loads)
     LAYERS = {
@@ -503,6 +516,12 @@ class TestFreshProcess:
         "negative-budget": ("oracle --l 4 --n 8 --budget -5", 2, "error: need budget >= 0", ["bounds", "graph", "oracle"]),
     }
 
+    @pytest.mark.parametrize("module", ["bounds", "constructions", "feasibility", "graph", "oracle"])
+    def test_module_import_loads_no_heavy_standard_module(self, module):
+        proc = _fresh(["-c", f"import sys; before = set(sys.modules); import trifree.{module}; print(sorted((set(sys.modules) - before) & {self.HEAVY}))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_bare_import_loads_no_submodule(self):
         proc = _fresh(["-c", "import sys, trifree; print(sorted(m for m in sys.modules if m.startswith('trifree')))"])
         assert proc.returncode == 0, proc.stderr
@@ -514,7 +533,7 @@ class TestFreshProcess:
         proc = _fresh(["-c", self.LOADS, command, *args], stdin=W13_G6 + "\n")
         assert proc.returncode == 0, proc.stderr
         want = sorted(["trifree", "trifree.cli"] + [f"trifree.{m}" for m in layers])
-        assert proc.stdout.splitlines()[-1] == f"0 {want}"
+        assert proc.stdout.splitlines()[-1] == f"0 {want} []"
 
     @pytest.mark.parametrize("case", list(FAILURES))
     def test_failing_call_loads_only_its_layer(self, case, tmp_path):
@@ -523,7 +542,7 @@ class TestFreshProcess:
         path.write_text(json.dumps({"version": "v2", "ramsey": RAMSEY_JSON, "cells": []}), encoding="utf-8")
         proc = _fresh(["-c", self.LOADS, *args.replace("MALFORMED", str(path)).split()])
         want = sorted(["trifree", "trifree.cli"] + [f"trifree.{m}" for m in layers])
-        assert proc.stdout.splitlines()[-1] == f"{code} {want}"
+        assert proc.stdout.splitlines()[-1] == f"{code} {want} []"
         assert proc.stderr.startswith(err)
 
     def test_malformed_data_file_exits_3(self, tmp_path):

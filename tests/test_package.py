@@ -38,6 +38,39 @@ def test_dir_lists_every_public_name():
     assert "__version__" in dir(trifree)
 
 
+# every record type, with one valid value of each field in field order
+RECORDS = {
+    "EBound": ("bounds", {"lower": 26, "upper": 28, "provenance": ("formula",)}),
+    "CellRecord": ("bounds", {"l": 5, "n": 13, "lower": 26, "upper": 26, "preliminary": True, "source": "w13"}),
+    "DegreeDistribution": ("feasibility", {"counts": ((3, 2), (4, 11))}),
+    "DefectReport": (
+        "feasibility",
+        {"distribution": None, "caps": ((4, 10),), "defect": 0, "cap_sources": ((4, "formula"),)},
+    ),
+    "GraphClass": ("graph", {"triangle_free": True, "alpha": 4, "n": 13, "e": 26}),
+    "PatternSummary": ("constructions", {"vertex_count": 2, "edge_count": 1, "degree_square_sum": 2}),
+    "OracleResult": ("oracle", {"value": 26, "witness": None, "nodes": 7}),
+    "CrossEntry": ("oracle", {"l": 5, "n": 13, "value": 26, "bound": None}),
+    "CrossReport": ("oracle", {"entries": (), "nodes": 0}),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_record_is_an_immutable_value(name):
+    module, fields = RECORDS[name]
+    cls = getattr(importlib.import_module(f"trifree.{module}"), name)
+    record = cls(**fields)
+    assert [getattr(record, f) for f in fields] == list(fields.values())
+    assert record == cls(*fields.values())
+    assert hash(record) == hash(cls(**fields))
+    assert repr(record).startswith(f"{name}(")
+    for field, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library", 1)[1]
