@@ -154,16 +154,16 @@ def _quotient(adj: Sequence[int], cells: list[list[int]]) -> int:
     return hash((*map(len, cells), *[(adj[cell[0]] & mask).bit_count() for cell in cells for mask in masks]))
 
 
-def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
+def _certificate(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     """Adjacency rows of the graph relabelled so that order[i] becomes vertex i."""
-    pos = [0] * len(order)
+    bit = [0] * len(order)  # bit[v] is the mask of v's new label
     for i, v in enumerate(order):
-        pos[v] = i
+        bit[v] = 1 << i
     rows = []
     for v in order:
         row = 0
-        for w in nbrs[v]:
-            row |= 1 << pos[w]
+        for w in _bits(adj[v]):
+            row |= bit[w]
         rows.append(row)
     return tuple(rows)
 
@@ -198,7 +198,7 @@ def _twins(adj: Sequence[int], cell: Sequence[int]) -> bool:
     return all(adj[v] | 1 << v == row for v in cell)
 
 
-def _best_certificate(adj: Sequence[int], nbrs: Sequence[Sequence[int]], cells: list[list[int]]) -> tuple[int, ...]:
+def _best_certificate(adj: Sequence[int], cells: list[list[int]]) -> tuple[int, ...]:
     """Largest leaf certificate of the individualisation-refinement tree.
 
     cells is the equitable partition at the root.  Twins may swap freely,
@@ -225,7 +225,7 @@ def _best_certificate(adj: Sequence[int], nbrs: Sequence[Sequence[int]], cells: 
                 break
         else:
             order = [v for cell in cells for v in cell]
-            cert = _certificate(nbrs, order)
+            cert = _certificate(adj, order)
             if not leaves:
                 leaves[:] = [(cert, order, path)] * 2
                 return depth
@@ -284,10 +284,9 @@ def canonical_key(adj: Sequence[int], n: int) -> tuple:
     moves the witnesses the search returns and the graphs it keys, never
     its values.
     """
-    nbrs = [list(_bits(adj[v])) for v in range(n)]
     cells = [list(range(n))]
     _refine(adj, cells, [(1 << n) - 1])
-    return (n, *_best_certificate(adj, nbrs, cells))
+    return (n, *_best_certificate(adj, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +344,6 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _degree_gate(rows: Sequence[int]) -> tuple[int, int]:
-    """Largest |S| that can give a vertex joined to S the least degree, and what S must then hold.
-
-    This is the degree part of the first-cell rule of _round, checked
-    before any alpha scan: the first cell of the equitable partition holds
-    only vertices of least degree.  rows is the parent.  The new vertex has
-    degree |S|, and a parent vertex gains one only if it is in S.  So with
-    least parent degree d, |S| is at most d + 1, and a set of size d + 1
-    must hold every vertex of degree d.  The empty parent admits only the
-    empty set.
-    """
-    if not rows:
-        return 0, 0
-    degs = [row.bit_count() for row in rows]
-    low = min(degs)
-    must = 0
-    for v, d in enumerate(degs):
-        if d == low:
-            must |= 1 << v
-    return low + 1, must
-
-
 def _round(
     l: int,
     m: int,
@@ -379,11 +356,14 @@ def _round(
 ):
     """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None.
 
-    A state is a parent graph with its edge count and independence number
-    ap; it was admitted one level up only if its edge count plus the floors
-    of the orders still to come was within t.  Its children join a new
-    vertex p to each twin-minimal independent set S of parent vertices
-    below degree l - 1, the sets of each size in lexicographic order:
+    A state is a parent graph's adjacency rows and its independence number
+    ap; one pass over the rows gives the parent's degrees, and they give
+    its edge count, its least degree low, the mask must of its vertices of
+    degree low, and its eligible vertices, those below degree l - 1.  Its
+    children join a new vertex p to each twin-minimal independent set S of
+    eligible vertices, the sets of each size in lexicographic order, while
+    the edge count plus |S| plus the floors of the orders still to come is
+    within t:
 
     * alpha(child) = max(ap, 1 + alpha(parent - S)), so alpha scans only the
       parent outside S, with ap - 1 as the starting incumbent, and stops
@@ -398,8 +378,12 @@ def _round(
       full vertex mask as the only splitter, as canonical_key starts.  The
       first split is by degree, ascending, and later splits keep the order
       of the fragments, so the first cell holds only vertices of least
-      degree.  p has degree |S|, so _degree_gate caps |S| and says what S
-      must hold at the cap, before any alpha scan.
+      degree.  p has degree |S|, and a parent vertex gains one only if it
+      is in S, so |S| is at most cap = low + 1, and a set of size cap must
+      hold must; both are applied before any alpha scan.  The sizes stop at
+      cap, or sooner when the edge budget or the sets run out: l - 1 is
+      below cap only when no vertex is eligible.  The empty parent has
+      low = -1, so it admits only the empty set.
 
     counter counts the children built, those that pass the alpha test.
     Dropping p when it is not in the first cell loses no value.  Take any
@@ -428,26 +412,30 @@ def _round(
     every round of one search.
     """
     kmax = l - 1
-    states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    states: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for p in range(m):
         rem = m - p - 1
         below = (1 << p) - 1
-        nxt: list[tuple[tuple[int, ...], int, int]] = []
+        nxt: list[tuple[tuple[int, ...], int]] = []
         buckets: dict[int, list[tuple[int, ...]]] = {}  # quotient hash -> one child per class
-        for rows, ep, ap in states:
+        for rows, ap in states:
+            degs = [row.bit_count() for row in rows]
+            edges = sum(degs) // 2
+            low = min(degs, default=-1)
+            cap = low + 1
+            must = 0
             # eligible vertices, each with the mask of its open twin just below, or 0
             elig = []
             last: dict[int, int] = {}
-            for v in range(p):
-                if rows[v].bit_count() < kmax:
+            for v, d in enumerate(degs):
+                if d == low:
+                    must |= 1 << v
+                if d < kmax:
                     elig.append((v, last.get(rows[v], 0)))
                     last[rows[v]] = 1 << v
-            cap, must = _degree_gate(rows)
             level = [0]
             size = 0
-            while True:
-                if ep + size + floors[rem] > t:
-                    break
+            while edges + size + floors[rem] <= t:
                 if size == cap:
                     level = [smask for smask in level if smask & must == must]
                 for smask in level:
@@ -488,8 +476,8 @@ def _round(
                         if any(canon[g] == key for g in reps):
                             continue
                         reps.append(labelled)
-                    nxt.append((labelled, ep + size, a2))
-                if size == min(kmax, len(elig), cap):
+                    nxt.append((labelled, a2))
+                if size == cap:
                     break
                 bigger = []
                 for smask in level:
@@ -517,11 +505,10 @@ def _solve(
 ) -> tuple[int | float, tuple[int, ...] | None]:
     if m == 0:
         return 0, ()
-    prev, _ = _CACHE[(l, m - 1)]
     floors = [_CACHE[(l, r)][0] for r in range(m)]
     kmax = l - 1
     tmax = min(m * kmax // 2, m * m // 4)
-    for t in range(int(prev), tmax + 1):
+    for t in range(int(floors[-1]), tmax + 1):
         wit = _round(l, m, t, floors, counter, budget, keys, canon)
         if wit is not None:
             return t, tuple(wit)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -115,6 +116,23 @@ class TestCanonicalKey:
         assert len(keys) == 1
         with_edge = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
         assert canonical_key(with_edge.adj, 7) not in keys
+
+    def test_keys_pinned(self):
+        # the keys themselves, not only their equalities: a rewrite of the
+        # certificate or the search tree must give the same largest leaf
+        pinned = {
+            "W13": w13(),
+            "tesseract": twisted_tesseract(),
+            "3xC5": disjoint_union([cycle(5)] * 3),
+            "20xK2": Graph(40, [(2 * i, 2 * i + 1) for i in range(20)]),
+        }
+        digests = {name: hashlib.sha256(repr(canonical_key(g.adj, g.n)).encode()).hexdigest() for name, g in pinned.items()}
+        assert digests == {
+            "W13": "d165eb86fa7b863164fc3fbc2cad7f840365de42d0c77a5db5afc87aa2b135d5",
+            "tesseract": "77fde4864e16d5619d771a71711d9ab2113b931717171617fc0ed044a923ba3f",
+            "3xC5": "d3e1b2fc33c5827db188834dc56ba19c29b868835c4703f373ca16fec7554d9c",
+            "20xK2": "de881d146517578376d95f987e081e5aa5a2879de697782936a4e75408315620",
+        }
 
 
 def andrasfai(k):
@@ -254,24 +272,6 @@ class TestLeastInvariant:
         degs = g.degrees()
         assert {degs[v] for v in first_cell(g.adj)} <= {min(degs, default=0)}
 
-    @settings(max_examples=300, deadline=None)
-    @given(g=graphs(11), data=st.data())
-    def test_degree_gate_rejects_only_children_the_full_test_rejects(self, g, data):
-        # S is an independent set of the parent g, grown greedily from a drawn mask
-        smask = 0
-        for v in range(g.n):
-            if data.draw(st.booleans()) and not g.adj[v] & smask:
-                smask |= 1 << v
-        child = [row | (smask >> v & 1) << g.n for v, row in enumerate(g.adj)] + [smask]
-        cap, must = oracle._degree_gate(g.adj)
-        size = smask.bit_count()
-        admitted = size < cap or (size == cap and smask & must == must)
-        # the gate admits S exactly when the new vertex has the least degree,
-        # and only a vertex of least degree can be in the first cell
-        assert admitted == (size == min(row.bit_count() for row in child))
-        if not admitted:
-            assert g.n not in first_cell(child)
-
 
 class TestQuotient:
     # the search keys a child only when its quotient collides with another's
@@ -359,6 +359,7 @@ class TestExhaustive:
             pytest.param(4, 8, 10, 525, b"Gr_Y@C", id="4-8"),
             pytest.param(5, 10, 10, 2184, b"IqK?GGA?W", id="5-10"),
             pytest.param(8, 13, 6, 1141, b"L`?G?C??G??@??", id="8-13"),
+            pytest.param(9, 14, 6, 1277, b"M`?G?C??G??@?????", id="9-14"),
         ],
     )
     def test_search_pinned(self, l, n, value, nodes, graph6):
@@ -482,6 +483,15 @@ class TestCrossValidate:
         lines = report.lines()
         assert lines[0] == "l=2 n=1: oracle 0, table 0: ok"
         assert "l=4 n=9: oracle inf, table ∞: ok" in lines
+
+    def test_cold_window_pinned(self):
+        # every cell of the window settled from a cold cache, as one call
+        clear_cache()
+        try:
+            report = cross_validate(5, 10)
+        finally:
+            clear_cache()
+        assert (len(report.entries), report.nodes, report.all_ok()) == (40, 3108, True)
 
     def test_table_claiming_nonexistence_too_early(self):
         # shrink the l=4 horizon so the table calls the 8-vertex cell
