@@ -81,6 +81,19 @@ def _print_json(payload: dict, indent: int | None = None) -> None:
     print(json.dumps({"version": SCHEMA_VERSION, **payload}, ensure_ascii=False, indent=indent))
 
 
+def _stream_json(payload: dict, key: str, items) -> int:
+    """Print what _print_json({**payload, key: list(items)}, indent=2) prints, an item at a time; return the count."""
+    empty = json.dumps({"version": SCHEMA_VERSION, **payload, key: []}, ensure_ascii=False, indent=2)
+    head, tail = empty.rsplit("[]", 1)
+    count = 0
+    for item in items:
+        print("," if count else head + "[", end="\n    ")
+        print(json.dumps(item, ensure_ascii=False, indent=2).replace("\n", "\n    "), end="")
+        count += 1
+    print("\n  ]" + tail if count else empty)
+    return count
+
+
 def _fmt_value(v) -> str:
     from .bounds import INF
 
@@ -262,15 +275,12 @@ def cmd_feasible(args) -> int:
     table = _load_table(args)
     refinements = _parse_refinements(args.refine)
     reports = iter_feasible(args.l, args.n, args.e, table=table, refinements=refinements)
+    # either format prints the reports as the walk yields them, never held as a list
     if args.format == "json":
-        distributions = [_report_payload(rep) for rep in reports]
-        _print_json(
-            {"l": args.l, "n": args.n, "e": args.e, "refinements": sorted(refinements), "distributions": distributions},
-            indent=2,
-        )
-        return 0 if distributions else 1
+        head = {"l": args.l, "n": args.n, "e": args.e, "refinements": sorted(refinements)}
+        return 0 if _stream_json(head, "distributions", map(_report_payload, reports)) else 1
     count = 0
-    for rep in reports:  # printed as the walk yields them, never held as a list
+    for rep in reports:
         _print_report(rep)
         count += 1
     print(f"{count} feasible distribution(s) at l={args.l} n={args.n} e={args.e}")

@@ -4,11 +4,11 @@ Deleting the closed neighborhood of a degree-d vertex from a triangle-free
 graph with independence below l leaves a triangle-free graph on n - 1 - d
 vertices with independence below l - 1, and removes exactly deg2(v) edges
 (the sum of the neighbor degrees).  So every degree-d vertex must satisfy
-deg2(v) <= cap(d) := e - floor(l - 1, n - 1 - d), where floor is any lower
-bound on the reduced graph's edges.  Summing the per-vertex constraint
-against the cheapest conceivable second degrees gives the defect
+deg2(v) <= cap(d) := e - f(d), where the floor f(d) is any lower bound on
+the reduced graph's edges, e(l - 1, n - 1 - d).  Summing the per-vertex
+constraint against the cheapest conceivable second degrees gives the defect
 
-    gamma = sum_d n_d * cap(d) - sum_d n_d * d^2 >= 0,
+    gamma = sum_d n_d * (cap(d) - d^2) = n * e - sum_d n_d * (f(d) + d^2) >= 0,
 
 a necessary condition on the degree distribution (n_d) of any such graph.
 A negative defect, or one of the optional refinements below, rules the
@@ -16,7 +16,9 @@ distribution out.  iter_feasible walks all distributions with the right
 vertex and degree sums and yields the survivors; enumerate_feasible lists
 them, and raise_lower_bound bounds e(l, n) from below by scanning edge
 counts up to the first one with a survivor.  The walk prunes with the
-defect's linear relaxation, the upper concave envelope of (d, cap(d) - d^2).
+defect's linear relaxation, the upper concave envelope of (d, -f(d) - d^2),
+built once per (l, n): adding e to every point moves each hull without
+changing its corners.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .bounds import INF, BoundsTable, default_table
 
 DEFAULT_REFINEMENTS = frozenset({"r1"})
-ALL_REFINEMENTS = frozenset({"r1", "r2", "r3"})
 
 
 class UnknownRegionError(ValueError):
@@ -119,26 +120,23 @@ def _check_order(l: int, n: int, e: int = 0) -> None:
         raise ValueError(f"need e >= 0, got {e}")
 
 
-def _cap(l: int, n: int, e: int, d: int, table: BoundsTable) -> tuple[int | None, str]:
-    """Second-degree budget of a degree-d vertex, and where its edge floor came from.
-
-    The floor is the table's bound on the reduced graph, e(l - 1, n - 1 - d);
-    the budget is None when that graph cannot exist.
-    """
-    _check_order(l, n, e)
+def _floor(l: int, n: int, d: int, table: BoundsTable) -> tuple[int | float, str]:
+    """Floor f(d) on e(l - 1, n - 1 - d), INF when no such graph exists, and its source."""
     if not 0 <= d <= min(l - 1, n - 1):
         raise ValueError(f"degree {d} outside 0..min(l-1, n-1) = {min(l - 1, n - 1)}")
     m = n - 1 - d
     if m == 0:
-        return e, "trivial"
+        return 0, "trivial"
     if l == 2:
         # a single vertex is already an independent set
-        return None, "trivial"
+        return INF, "trivial"
     cell = table.bound(l - 1, m)
-    source = ",".join(cell.provenance)
-    if cell.lower == INF:
-        return None, source
-    return e - cell.lower, source
+    return cell.lower, ",".join(cell.provenance)
+
+
+def _budget(e: int, floor: int | float) -> int | None:
+    """Every second-degree budget is e - f(d); None when the reduced graph cannot exist."""
+    return None if floor == INF else e - floor
 
 
 def degree_cap(l: int, n: int, e: int, d: int, table: BoundsTable | None = None) -> int | None:
@@ -150,7 +148,8 @@ def degree_cap(l: int, n: int, e: int, d: int, table: BoundsTable | None = None)
     """
     if table is None:
         table = default_table()
-    return _cap(l, n, e, d, table)[0]
+    _check_order(l, n, e)
+    return _budget(e, _floor(l, n, d, table)[0])
 
 
 def total_defect(
@@ -167,16 +166,13 @@ def total_defect(
         raise ValueError(f"distribution covers {dist.vertex_count} vertices, not {n}")
     if dist.degree_sum != 2 * e:
         raise ValueError(f"distribution degree sum {dist.degree_sum} != 2e = {2 * e}")
-    caps = []
-    sources = []
-    for d, _ in dist.counts:
-        cap, src = _cap(l, n, e, d, table)
-        caps.append((d, cap))
-        sources.append((d, src))
+    _check_order(l, n, e)
+    floors = [(d, *_floor(l, n, d, table)) for d, _ in dist.counts]
+    caps = tuple((d, _budget(e, floor)) for d, floor, _ in floors)
     gamma = None
     if all(cap is not None for _, cap in caps):
         gamma = sum(c * (cap - d * d) for (d, c), (_, cap) in zip(dist.counts, caps))
-    return DefectReport(distribution=dist, caps=tuple(caps), defect=gamma, cap_sources=tuple(sources))
+    return DefectReport(dist, caps, gamma, tuple((d, src) for d, _, src in floors))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +251,8 @@ def _r3_eliminates(present: tuple[tuple[int, int], ...], caps: Mapping[int, int]
     return q * cdelta > 2 * (cdelta * cdelta // 4)
 
 
-_REFINEMENT_TESTS = (("r1", _r1_eliminates), ("r2", _r2_eliminates), ("r3", _r3_eliminates))
+_REFINEMENT_TESTS = {"r1": _r1_eliminates, "r2": _r2_eliminates, "r3": _r3_eliminates}
+ALL_REFINEMENTS = frozenset(_REFINEMENT_TESTS)
 
 
 def _refinement_tests(refinements: Iterable[str]) -> tuple:
@@ -264,7 +261,7 @@ def _refinement_tests(refinements: Iterable[str]) -> tuple:
     unknown = names - ALL_REFINEMENTS
     if unknown:
         raise ValueError(f"unknown refinements: {', '.join(sorted(unknown))}")
-    return tuple(test for name, test in _REFINEMENT_TESTS if name in names)
+    return tuple(test for name, test in _REFINEMENT_TESTS.items() if name in names)
 
 
 def iter_feasible(
@@ -282,28 +279,27 @@ def iter_feasible(
     vectors (ascending degrees).  This is the only enumeration of degree
     distributions; a consumer that stops early walks only up to its stop.
 
-    Arguments are checked and the caps and hull bounds built at the call,
+    Arguments are checked and the floors and hull bounds built at the call,
     so bad input raises here, not at the first next().
     """
     if table is None:
         table = default_table()
     tests = _refinement_tests(refinements)
     _check_order(l, n, e)
-    return _survivors(l, n, e, table, tests)
+    return _walk(_model(l, n, table), tests, n, e)
 
 
-def _survivors(l: int, n: int, e: int, table: BoundsTable, tests: tuple) -> Iterator[DefectReport]:
-    """iter_feasible on checked arguments, with the refinement tests to run at each leaf."""
-    caps: dict[int, int] = {}
-    sources: dict[int, str] = {}
+def _model(l: int, n: int, table: BoundsTable) -> tuple:
+    """What the walk at every edge count of (l, n) reads: possible degrees ascending,
+    ({d: f(d)}, {d: source}), their defect terms at e = 0, -f(d) - d^2, and _hulls of those."""
+    floors, sources = {}, {}
     for d in range(min(l - 1, n - 1) + 1):
-        cap, src = _cap(l, n, e, d, table)
-        if cap is not None:
-            caps[d] = cap
-            sources[d] = src
-    degs = sorted(caps)
-    contrib = [caps[d] - d * d for d in degs]
-    return _walk(degs, contrib, caps, sources, tests, _hulls(degs, contrib), n, 2 * e)
+        floor, sources[d] = _floor(l, n, d, table)
+        if floor != INF:
+            floors[d] = floor
+    degs = list(floors)
+    contrib = [-floors[d] - d * d for d in degs]
+    return degs, (floors, sources), contrib, _hulls(degs, contrib)
 
 
 def _hulls(degs, contrib) -> list[list[tuple[int, int]]]:
@@ -338,19 +334,21 @@ def _fits(hull, g: int, v: int, s: int) -> bool:
     return g + v * ca >= 0
 
 
-def _walk(degs, contrib, caps, sources, tests, hulls, n, target) -> Iterator[DefectReport]:
+def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
     """Depth-first walk over count vectors, one frame with an explicit stack.
 
     Level i chooses counts[i], the number of vertices of degree degs[i];
     left_n, left_s and gamma hold the vertices and degree sum still to place
-    and the defect collected on entry to the level.  A child is entered only
-    when its hull bound leaves room for a nonnegative defect.  The bound is
-    exact once every vertex is placed, so a level that places the last one
-    ends a count vector (zero for the later degrees) with degree sum 2e and
-    gamma >= 0.
+    and n * e plus the defect terms collected on entry to the level.  A child
+    is entered only when its hull bound leaves room for a nonnegative defect.
+    The bound is exact once every vertex is placed, so a level that places
+    the last one ends a count vector (zero for the later degrees) with degree
+    sum 2e and gamma >= 0.
     """
-    if not _fits(hulls[0], 0, n, target):
+    degs, (floors, sources), contrib, hulls = model
+    if not _fits(hulls[0], n * e, n, 2 * e):
         return
+    caps = {d: _budget(e, floor) for d, floor in floors.items()}
     nd = len(degs)
     last = nd - 1
     # the last degree takes every vertex still unplaced, so its level
@@ -358,8 +356,8 @@ def _walk(degs, contrib, caps, sources, tests, hulls, n, target) -> Iterator[Def
     counts = [0] * nd
     counts[0] = -1 if last else n - 1
     left_n = [n] * nd
-    left_s = [target] * nd
-    gamma = [0] * nd
+    left_s = [2 * e] * nd
+    gamma = [n * e] * nd
     i = 0
     while i >= 0:
         c = counts[i] + 1
@@ -423,10 +421,11 @@ def raise_lower_bound(
         table = default_table()
     tests = _refinement_tests(refinements)
     _check_order(l, n)
+    model = _model(l, n, table)
     start = table.finite_lower(l, n)
     # max degree l-1 and simple-graph limits bound the scan
     stop = min(n * (l - 1), n * (n - 1)) // 2
     for e in range(start, stop + 1):
-        if next(_survivors(l, n, e, table, tests), None) is not None:
+        if next(_walk(model, tests, n, e), None) is not None:
             return e
     return INF

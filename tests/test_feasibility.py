@@ -369,6 +369,20 @@ class TestHullBound:
             relaxed = _relaxed_gain(degs[i:], contrib[i:], v, s)
             assert fits == (relaxed is not None and g + relaxed >= 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=hull_cases(), k=st.integers(-40, 40), cell=near_floor_cells(24))
+    def test_a_shift_moves_the_hulls_without_changing_their_corners(self, case, k, cell):
+        # the walk builds its hulls at e = 0 and reads them at every e
+        degs, contrib, g, v, s = case
+        shifted = feasibility._hulls(degs, [c + k for c in contrib])
+        for hull, moved in zip(feasibility._hulls(degs, contrib), shifted):
+            assert moved == [(d, c + k) for d, c in hull]
+            assert feasibility._fits(moved, g, v, s) == feasibility._fits(hull, g + v * k, v, s)
+        l, n, e = cell
+        for d in range(min(l - 1, n - 1) + 1):
+            cap = degree_cap(l, n, e, d)
+            assert degree_cap(l, n, e + abs(k), d) == (None if cap is None else cap + abs(k))
+
     def test_collinear_and_dominated_points_leave_the_hull(self):
         hull = feasibility._hulls([0, 1, 2, 3], [0, 1, 2, -5])[0]
         assert hull == [(0, 0), (2, 2), (3, -5)]
@@ -433,6 +447,16 @@ class TestRaiseLowerBound:
         names = ["r1", "r2", "r3"]
         assert raise_lower_bound(l, n, refinements=names) == want
         assert raise_lower_bound(l, n, refinements=iter(names)) == want
+
+    def test_pinned_over_an_order_grid(self):
+        # every (l, n) with l 3..14 and n 1..80, most of it past the table,
+        # under no refinement, the default one and all three
+        h = hashlib.sha256()
+        for refinements in ((), DEFAULT_REFINEMENTS, ALL_REFINEMENTS):
+            for l in range(3, 15):
+                for n in range(1, 81):
+                    h.update(f"{raise_lower_bound(l, n, refinements=refinements)}\n".encode())
+        assert h.hexdigest() == "c76addcab5ed761fcf5b0194b25349417fdf613278d19d2163c8c53d77695dfa"
 
     def test_domain(self):
         with pytest.raises(UnknownRegionError):
