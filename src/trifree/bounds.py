@@ -505,14 +505,11 @@ class BoundsTable:
         """Largest finite lower bound known, ignoring nonexistence knowledge.
 
         This is the right scan floor for feasibility searches: if a graph
-        exists at all it has at least this many edges.  Outside the
-        tabulated domain no record exists, so it is the formula floor.
+        exists at all it has at least this many edges.  It is the lower end
+        of bound(l, n), or the formula floor where that end is infinite.
         """
-        lower = formula_floor(l - 1, n)
-        rec = self._records.get((l, n))
-        if rec is not None and rec.lower != INF:
-            lower = max(lower, rec.lower)
-        return lower
+        lower = self.bound(l, n).lower
+        return formula_floor(l - 1, n) if lower == INF else lower
 
     def records(self) -> Iterator[CellRecord]:
         for key in sorted(self._records):

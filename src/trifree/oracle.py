@@ -4,34 +4,34 @@ Two tiers deliberately share no code with the bounds machinery:
 
 * naive_min_edges scans every edge subset on up to 7 vertices.  Slow and
   obviously correct; it exists to check the clever tier.
-* min_edges_exhaustive grows graphs one vertex at a time with isomorphism
-  rejection per level, iterating an edge budget upward from the known
-  value one order below.  The first budget admitting a graph is exact.
-  Isomorph rejection buckets each level's children by the quotient of
-  their equitable partition, an isomorphism invariant, and calls
-  canonical_key (equitable refinement plus individualisation-refinement,
-  the core of nauty) only on children whose quotients collide.  Each call
-  memoizes the quotient's hash of every labelled graph it meets, or None
-  for one it drops, and the canonical key of every graph it had to key,
-  because the search replays the same levels for every budget and order;
-  the memos live only as long as that call, but grow with the whole of
-  it, so only the node budget bounds them.  Each child is its parent plus
-  one vertex, and the parent settles two things: the child's independence
-  number is max(alpha(parent), 1 + alpha(parent minus the new vertex's
-  neighbourhood)), so alpha scans only that smaller graph, and only until
-  the child is shown to reach independence l; and a neighbourhood that
-  uses higher-indexed open twins of the parent where lower ones are free
-  would give a child isomorphic to one built from the lower ones, so such
-  neighbourhoods are never generated.
-  A child is kept only when its new vertex is in the first cell of the
-  child's equitable partition, the refinement canonical_key starts from.
-  That cell holds only vertices of least degree and moves with any
-  relabelling, so deleting a first-cell vertex again and again leads from
-  any graph back to the empty one through graphs the search keeps: the
-  first half of McKay's canonical construction path ("Isomorph-free
-  exhaustive generation", 1998).  Most labelled copies of a class are
-  dropped before their quotient is taken, and most classes are alone in
-  their bucket, so they are never keyed.
+* min_edges_exhaustive settles each order m in turn.  A generator, _round,
+  grows graphs one vertex at a time under an edge target t and yields
+  every triangle-free graph on m vertices with alpha below l and at most
+  t edges, one per isomorphism class; the first t at which it yields is
+  e(l, m).  The targets start at ceil(m e(l, m - 1) / (m - 2)), a floor
+  the oracle proves from its own value one order below, never the table.
+  Each child is its parent plus one vertex, and the parent settles two
+  things: the child's independence number is max(alpha(parent), 1 +
+  alpha(parent minus the new vertex's neighbourhood)), so alpha scans only
+  that smaller graph, and only until the child is shown to reach
+  independence l; and a neighbourhood that uses higher-indexed open twins
+  of the parent where lower ones are free would give a child isomorphic
+  to one built from the lower ones, so such neighbourhoods are never
+  generated.  A child is kept only when its new vertex is in the first
+  cell of the child's equitable partition, the refinement canonical_key
+  starts from.  That cell holds only vertices of least degree and moves
+  with any relabelling, so deleting a first-cell vertex again and again
+  leads from any graph back to the empty one through graphs the search
+  keeps: the first half of McKay's canonical construction path
+  ("Isomorph-free exhaustive generation", 1998).  The kept children of a
+  level are bucketed by the quotient of that partition, an isomorphism
+  invariant, and canonical_key (equitable refinement plus
+  individualisation-refinement, the core of nauty) runs only on children
+  whose quotients collide, so most classes are never keyed.  Every target
+  and order replays the same levels, so one call memoizes each labelled
+  graph's quotient hash (None for one the first-cell rule drops) and the
+  canonical key of each graph it had to key; the memos grow with the
+  whole call, so only the node budget bounds them.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -41,7 +41,7 @@ classifier (a third, separately written code path).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bounds import INF, BoundsTable, EBound, default_table
 from .graph import Graph, _bits, classify, write_graph6
@@ -353,8 +353,12 @@ def _round(
     budget: int,
     keys: dict[tuple[int, ...], int | None],
     canon: dict[tuple[int, ...], tuple],
-):
-    """Adjacency rows of some m-vertex graph with alpha < l and <= t edges, or None.
+) -> Iterator[tuple[int, ...]]:
+    """Yield every m-vertex graph with alpha < l and <= t edges, one per class.
+
+    Each yield is the adjacency rows of the first graph of a new class to
+    arrive at the last level.  Every level below the last keeps one graph
+    per class of the (l, p)-graphs that can still grow within t.
 
     A state is a parent graph's adjacency rows and its independence number
     ap; one pass over the rows gives the parent's degrees, and they give
@@ -386,7 +390,7 @@ def _round(
       low = -1, so it admits only the empty set.
 
     counter counts the children built, those that pass the alpha test.
-    Dropping p when it is not in the first cell loses no value.  Take any
+    Dropping p when it is not in the first cell loses no class.  Take any
     graph F with at most t edges and alpha < l, and delete a first-cell
     vertex again and again.  Each graph on that chain is an induced
     subgraph of F, so it passes the edge test, the degree cap and the alpha
@@ -394,16 +398,16 @@ def _round(
     swaps, which are parent automorphisms fixing p, so they keep p in the
     first cell; and each refinement step depends only on the partition and
     the counts, so relabelling a graph permutes its first cell with it.  So
-    the chain is found level by level up to isomorphism, and the first t
-    that admits a graph does not move.
+    the chain is found level by level up to isomorphism, and F's class is
+    yielded.
 
-    A kept child joins the next level only if it is isomorphic to none
-    before it.  Children are bucketed by the hash of their quotient
-    (_quotient), which isomorphic graphs share: a child alone in its
-    bucket is new, and one that shares a bucket is compared with the
-    bucket's children by canonical_key.  The level lists its classes in
-    the order they arrive, so the first child of each class is kept and
-    the buckets change nothing the search returns.
+    A kept child joins the next level, or is yielded, only if it is
+    isomorphic to none before it.  Children are bucketed by the hash of
+    their quotient (_quotient), which isomorphic graphs share: a child
+    alone in its bucket is new, and one that shares a bucket is compared
+    with the bucket's children by canonical_key.  Each class is kept, or
+    yielded, at its first child to arrive, so the buckets change nothing
+    the search returns.
 
     keys maps labelled adjacency tuples to the hash of their quotient, or
     to None for a child dropped by the first-cell rule, and canon maps the
@@ -451,11 +455,6 @@ def _round(
                     for v in _bits(smask):
                         child[v] |= 1 << p
                     child.append(smask)
-                    if a2 + rem <= kmax:
-                        # padding with isolated vertices is the cheapest
-                        # completion, and it stays below independence l
-                        child.extend([0] * rem)
-                        return child
                     labelled = tuple(child)
                     if labelled in keys:
                         quot = keys[labelled]
@@ -476,7 +475,10 @@ def _round(
                         if any(canon[g] == key for g in reps):
                             continue
                         reps.append(labelled)
-                    nxt.append((labelled, a2))
+                    if rem:
+                        nxt.append((labelled, a2))
+                    else:
+                        yield labelled
                 if size == cap:
                     break
                 bigger = []
@@ -490,9 +492,6 @@ def _round(
                 level = bigger
                 size += 1
         states = nxt
-        if not states:
-            return None
-    return None
 
 
 def _solve(
@@ -506,29 +505,30 @@ def _solve(
     if m == 0:
         return 0, ()
     floors = [_CACHE[(l, r)][0] for r in range(m)]
-    kmax = l - 1
-    tmax = min(m * kmax // 2, m * m // 4)
-    for t in range(int(floors[-1]), tmax + 1):
-        wit = _round(l, m, t, floors, counter, budget, keys, canon)
-        if wit is not None:
-            return t, tuple(wit)
+    start = int(floors[-1])
+    if m >= 3:
+        # summing e(G - v) over all v counts each edge m - 2 times
+        start = -(-m * start // (m - 2))
+    tmax = min(m * (l - 1) // 2, m * m // 4)
+    for t in range(start, tmax + 1):
+        rows = next(_round(l, m, t, floors, counter, budget, keys, canon), None)
+        if rows is not None:
+            return t, rows
     return INF, None
 
 
 def min_edges_exhaustive(l: int, n: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact minimum edge count at independence below l on n vertices.
 
-    Iterates the edge budget upward from the value one order below, so the
-    first admitted graph is automatically minimal.  Values and witnesses
-    are memoized per (l, n) up to the first order with no graph, where the
-    climb stops; nodes counts only the work done by this call.
-    Quotient hashes (None for a child the first-cell rule drops), and
-    the canonical keys of the children whose quotients collided, are
-    memoized per labelled graph for this call only; the memos grow with
-    the whole search, so memory too is bounded only through budget.
-    budget caps nodes, the children built: one per twin-minimal
-    neighbourhood that gives the new vertex the least degree and keeps the
-    child below independence l.  It must be nonnegative.
+    Climbs the orders m = 0..n.  At each, the edge target starts at the
+    floor proved from e(l, m - 1) and rises until _round yields a graph:
+    that graph is minimal, and it is the witness.  Values and witnesses
+    are memoized per (l, m) up to the first order with no graph, where the
+    climb stops; nodes counts only the work done by this call.  The memos
+    of _round live for this call only, so memory too is bounded only
+    through budget.  budget caps nodes, the children built: one per
+    twin-minimal neighbourhood that gives the new vertex the least degree
+    and keeps the child below independence l.  It must be nonnegative.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")

@@ -1,12 +1,14 @@
 """Shared test utilities: reference graphs and brute-force checks."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
 from hypothesis import strategies as st
 
 from trifree.graph import Graph
+from trifree.oracle import DEFAULT_BUDGET, _round, min_edges_exhaustive
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -56,6 +58,17 @@ def scan_k24(g: Graph):
                 if all(not (adj[x] >> y) & 1 for x, y in combinations(quad, 2)):
                     return ((a1, a2), quad)
     return None
+
+
+@lru_cache(maxsize=None)
+def every_class(l: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Adjacency rows of every triangle-free graph on m vertices with alpha < l, one per class.
+
+    The oracle's generator at edge target m(l - 1)/2, which no such graph
+    exceeds, with the floors of the smaller orders from the oracle itself.
+    """
+    floors = [min_edges_exhaustive(l, r).value for r in range(m)]
+    return tuple(_round(l, m, m * (l - 1) // 2, floors, [0], DEFAULT_BUDGET, {}, {}))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -22,6 +23,8 @@ from trifree.feasibility import (
     raise_lower_bound,
     total_defect,
 )
+
+from helpers import every_class
 
 INF = math.inf
 
@@ -307,6 +310,34 @@ class TestIterFeasible:
         walked = [rep.distribution for rep in iter_feasible(l, n, e, refinements=())]
         brute = [d for d in _all_distributions(l, n, e) if total_defect(d, l, n, e).feasible]
         assert set(walked) == set(brute) and len(walked) == len(brute)
+
+
+def small_graph_cells():
+    """Every cell with l <= 5 whose graphs exist, and l = 6 up to m = 10, the last one slow."""
+    for l, last in [(2, 2), (3, 5), (4, 8), (5, 13), (6, 10)]:
+        for m in range(1, last + 1):
+            marks = [pytest.mark.slow] if (l, m) == (6, 10) else []
+            yield pytest.param(l, m, marks=marks, id=f"{l}-{m}")
+
+
+class TestSoundnessOnEverySmallGraph:
+    # every triangle-free graph with alpha < l, one per class, must keep its
+    # edge count and degree distribution alive under every refinement
+
+    @pytest.mark.parametrize("l, m", small_graph_cells())
+    def test_every_realised_distribution_survives(self, l, m):
+        survivors = {}
+        rejected = []
+        for rows in every_class(l, m):
+            degrees = [row.bit_count() for row in rows]
+            e = sum(degrees) // 2
+            if e not in survivors:
+                survivors[e] = {r.distribution for r in iter_feasible(l, m, e, refinements=ALL_REFINEMENTS)}
+            dist = DegreeDistribution.from_dict(Counter(degrees))
+            if dist not in survivors[e]:
+                rejected.append((e, str(dist)))
+        assert every_class(l, m)
+        assert not rejected
 
 
 def _best_gain(degs, contrib, v, s):

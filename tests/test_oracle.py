@@ -26,7 +26,7 @@ from trifree.oracle import (
     naive_min_edges,
 )
 
-from helpers import brute_alpha, complete_bipartite, cycle, graphs, induced, random_triangle_free
+from helpers import brute_alpha, complete_bipartite, cycle, every_class, graphs, induced, random_triangle_free
 
 INF = math.inf
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -317,8 +317,8 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, keyed, graph6",
         [
-            pytest.param(6, 11, 8, 2062, 128, b"JqK?G?@???_", id="6-11"),
-            pytest.param(7, 12, 6, 977, 33, b"K`?G?C??G??@", id="7-12"),
+            pytest.param(6, 11, 8, 1593, 128, b"JqK?G?@???_", id="6-11"),
+            pytest.param(7, 12, 6, 728, 33, b"K`?G?C??G??@", id="7-12"),
         ],
     )
     def test_cold_search_pinned(self, monkeypatch, l, n, value, nodes, keyed, graph6):
@@ -356,32 +356,22 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "l, n, value, nodes, graph6",
         [
-            pytest.param(4, 8, 10, 525, b"Gr_Y@C", id="4-8"),
-            pytest.param(5, 10, 10, 2184, b"IqK?GGA?W", id="5-10"),
-            pytest.param(8, 13, 6, 1141, b"L`?G?C??G??@??", id="8-13"),
-            pytest.param(9, 14, 6, 1277, b"M`?G?C??G??@?????", id="9-14"),
+            pytest.param(4, 8, 10, 359, b"Gr_Y@C", id="4-8"),
+            pytest.param(5, 10, 10, 1500, b"IqK?GGA?W", id="5-10"),
+            pytest.param(8, 13, 6, 883, b"L`?G?C??G??@??", id="8-13"),
+            pytest.param(9, 14, 6, 1039, b"M`?G?C??G??@?????", id="9-14"),
+            # R(3, 5) = 14, from the search alone: e(5, 13) = 26 puts the
+            # floor of order 14 at 31, past the 28 edges any graph there may have
+            pytest.param(5, 14, INF, 21636, None, id="5-14"),
+            pytest.param(5, 12, 20, 13940, b"Kr_[IO`OGO_X", id="5-12", marks=pytest.mark.slow),
+            pytest.param(5, 13, 26, 21636, b"Lr_[IObP@AaPAL", id="5-13", marks=pytest.mark.slow),
+            pytest.param(6, 12, 11, 8428, b"KqK?GGA?W??@", id="6-12", marks=pytest.mark.slow),
+            pytest.param(6, 13, 15, 84290, b"Lr_Y@C??G@?A?B", id="6-13", marks=pytest.mark.slow),
         ],
     )
     def test_search_pinned(self, l, n, value, nodes, graph6):
         # nodes counts the children built: one per twin-minimal neighbourhood
         # that gives the new vertex the least degree and stays below independence l
-        clear_cache()
-        res = min_edges_exhaustive(l, n)
-        assert (res.value, res.nodes, write_graph6(res.witness)) == (value, nodes, graph6)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize(
-        "l, n, value, nodes, graph6",
-        [
-            pytest.param(5, 12, 20, 23513, b"Kr_[IO`OGO_X", id="5-12"),
-            pytest.param(5, 13, 26, 41419, b"Lr_[IObP@AaPAL", id="5-13"),
-            # R(3, 5) = 14, from the search alone
-            pytest.param(5, 14, INF, 49117, None, id="5-14"),
-            pytest.param(6, 12, 11, 11184, b"KqK?GGA?W??@", id="6-12"),
-            pytest.param(6, 13, 15, 98823, b"Lr_W?CA?O@g?G@", id="6-13"),
-        ],
-    )
-    def test_larger_search_pinned(self, l, n, value, nodes, graph6):
         clear_cache()
         try:
             res = min_edges_exhaustive(l, n)
@@ -474,6 +464,22 @@ class TestExhaustive:
             min_edges_exhaustive(3, -1)
 
 
+class TestEveryClass:
+    # _round at the largest edge target yields each class of the cell once
+
+    def test_yields_every_class_once(self, triangle_free_classes):
+        for m, reps in triangle_free_classes.items():
+            alphas = {canonical_key(adj, m): brute_alpha(Graph.from_adj(list(adj))) for adj in reps}
+            for l in range(2, m + 2):
+                keys = [canonical_key(rows, m) for rows in every_class(l, m)]
+                assert len(set(keys)) == len(keys), (l, m)
+                assert set(keys) == {key for key, alpha in alphas.items() if alpha < l}, (l, m)
+
+    def test_class_counts_pinned(self):
+        assert [len(every_class(4, m)) for m in range(1, 9)] == [1, 2, 3, 6, 9, 15, 9, 3]
+        assert (len(every_class(5, 11)), len(every_class(5, 12))) == (105, 12)
+
+
 class TestCrossValidate:
     def test_small_window_clean(self):
         report = cross_validate(4, 9)
@@ -491,7 +497,7 @@ class TestCrossValidate:
             report = cross_validate(5, 10)
         finally:
             clear_cache()
-        assert (len(report.entries), report.nodes, report.all_ok()) == (40, 3108, True)
+        assert (len(report.entries), report.nodes, report.all_ok()) == (40, 1979, True)
 
     def test_table_claiming_nonexistence_too_early(self):
         # shrink the l=4 horizon so the table calls the 8-vertex cell

@@ -90,6 +90,18 @@ class TestLookup:
         assert table.finite_lower(7, 23) == formula_floor(6, 23)
         assert table.finite_lower(11, 41) == 139
 
+    def test_finite_lower_is_the_formula_floor_raised_by_a_finite_record(self, table):
+        # at any order, and past the horizon an explicit infinite record sets
+        ramsey = dict(RAMSEY)
+        ramsey[11] = (40, None)
+        infinite = make_table([CellRecord(11, 41, INF, INF, False, "check")], ramsey)
+        assert infinite.bound(11, 41).lower == INF
+        for t in (table, infinite):
+            records = {(r.l, r.n): r.lower for r in t.records() if r.lower != INF}
+            for l in range(2, 17):
+                for n in range(1, 81):
+                    assert t.finite_lower(l, n) == max(formula_floor(l - 1, n), records.get((l, n), 0)), (l, n)
+
     def test_bound_at_any_order(self, table):
         for l, n, cell in table.cells():
             assert table.bound(l, n) is cell
