@@ -230,12 +230,9 @@ def _merge(l: int, n: int, ramsey: tuple[int, int | None], rec: CellRecord | Non
         tags = ("sporadic-table", "ramsey") if rec is not None else ("ramsey",)
         return EBound(INF, INF, tags)
 
+    # BoundsTable lowers hi_r to the order of any infinite record, so a record here is finite
     floor, exact = _window_case(n, k)
-    rec_lower = rec.lower if rec is not None else 0
-    if rec_lower == INF:
-        # an infinite record below hi_r is impossible by construction
-        raise DataConflictError(f"record ({l},{n}) infinite below the effective threshold")
-    lower = max(floor, rec_lower)
+    lower = max(floor, rec.lower if rec is not None else 0)
 
     tags = []
     if lower == floor:

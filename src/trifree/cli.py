@@ -81,16 +81,20 @@ def _print_json(payload: dict, indent: int | None = None) -> None:
     print(json.dumps({"version": SCHEMA_VERSION, **payload}, ensure_ascii=False, indent=indent))
 
 
-def _stream_json(payload: dict, key: str, items) -> int:
-    """Print what _print_json({**payload, key: list(items)}, indent=2) prints, an item at a time; return the count."""
-    empty = json.dumps({"version": SCHEMA_VERSION, **payload, key: []}, ensure_ascii=False, indent=2)
-    head, tail = empty.rsplit("[]", 1)
+def _stream_json(payload: dict, key: str, items, after: dict) -> int:
+    """Print what _print_json({**payload, key: list(items), **after}, indent=2) prints, an item at a time.
+
+    after is read once the items run out, so they may still fill it in.
+    Return the item count.
+    """
+    head = json.dumps({"version": SCHEMA_VERSION, **payload, key: []}, ensure_ascii=False, indent=2).rsplit("[]", 1)[0]
     count = 0
     for item in items:
         print("," if count else head + "[", end="\n    ")
         print(json.dumps(item, ensure_ascii=False, indent=2).replace("\n", "\n    "), end="")
         count += 1
-    print("\n  ]" + tail if count else empty)
+    whole = json.dumps({"version": SCHEMA_VERSION, **payload, key: [], **after}, ensure_ascii=False, indent=2)
+    print("\n  ]" + whole[len(head) + 2 :] if count else whole)
     return count
 
 
@@ -211,14 +215,10 @@ def _record_line(rec: dict) -> str:
     return " ".join(bits)
 
 
-def cmd_verify(args) -> int:
+def _verify_records(args, summary: dict):
+    """Yield the record of each graph6 line as it is read, counting it into summary."""
     from .graph import Graph6Error, decode_graph6, find_induced_k24
 
-    as_json = args.format == "json"
-    records = []
-    count = fails = parse_errors = 0
-    min_degree: int | None = None
-    k24_everywhere = True
     if args.file in (None, "-"):
         source = contextlib.nullcontext(sys.stdin.buffer)
     else:
@@ -231,42 +231,36 @@ def cmd_verify(args) -> int:
             try:
                 g = decode_graph6(line, where=f" (line {no})")
             except Graph6Error as exc:
-                parse_errors += 1
+                summary["parse_errors"] += 1
                 print(f"error: {exc}", file=sys.stderr)
                 continue
             rec = _verify_one(no, g, args.l, args.n, args.e)
-            count += 1
-            if rec["reasons"]:
-                fails += 1
-            if rec["degree_min"] is not None and (min_degree is None or rec["degree_min"] < min_degree):
-                min_degree = rec["degree_min"]
-            if find_induced_k24(g) is None:
-                k24_everywhere = False
-            if as_json:
-                records.append(rec)
-            else:
-                print(_record_line(rec))
+            summary["graphs"] += 1
+            summary[rec["verdict"]] += 1
+            low = rec["degree_min"]
+            if low is not None and (summary["min_degree"] is None or low < summary["min_degree"]):
+                summary["min_degree"] = low
+            k24 = find_induced_k24(g) is not None
+            summary["induced_k24_everywhere"] = k24 and summary["induced_k24_everywhere"] is not False
+            yield rec
 
-    summary = {
-        "graphs": count,
-        "pass": count - fails,
-        "fail": fails,
-        "parse_errors": parse_errors,
-        "min_degree": min_degree,
-        "induced_k24_everywhere": k24_everywhere if count else None,
-    }
-    if as_json:
-        _print_json({"records": records, "summary": summary}, indent=2)
+
+def cmd_verify(args) -> int:
+    summary = {"graphs": 0, "pass": 0, "fail": 0, "parse_errors": 0, "min_degree": None, "induced_k24_everywhere": None}
+    records = _verify_records(args, summary)
+    # either format prints each record as its line is read, never held as a list
+    if args.format == "json":
+        _stream_json({}, "records", records, {"summary": summary})
     else:
-        print(f"graphs: {count}  pass: {count - fails}  fail: {fails}  parse errors: {parse_errors}")
-        print(f"minimum degree over corpus: {min_degree if count else 'n/a'}")
-        if count:
-            print(f"induced K2,4 in every graph: {'yes' if k24_everywhere else 'no'}")
-        else:
-            print("induced K2,4 in every graph: n/a")
-    if parse_errors:
+        for rec in records:
+            print(_record_line(rec))
+        print("graphs: {graphs}  pass: {pass}  fail: {fail}  parse errors: {parse_errors}".format_map(summary))
+        print(f"minimum degree over corpus: {summary['min_degree'] if summary['graphs'] else 'n/a'}")
+        k24 = {True: "yes", False: "no", None: "n/a"}[summary["induced_k24_everywhere"]]
+        print(f"induced K2,4 in every graph: {k24}")
+    if summary["parse_errors"]:
         return 2
-    return 1 if fails else 0
+    return 1 if summary["fail"] else 0
 
 
 def cmd_feasible(args) -> int:
@@ -278,7 +272,7 @@ def cmd_feasible(args) -> int:
     # either format prints the reports as the walk yields them, never held as a list
     if args.format == "json":
         head = {"l": args.l, "n": args.n, "e": args.e, "refinements": sorted(refinements)}
-        return 0 if _stream_json(head, "distributions", map(_report_payload, reports)) else 1
+        return 0 if _stream_json(head, "distributions", map(_report_payload, reports), {}) else 1
     count = 0
     for rep in reports:
         _print_report(rep)
@@ -411,10 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        # argparse exits with 0 after --help and 2 on a usage error
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import trifree.graph
 from trifree.bounds import cells_from_json, default_table
 from trifree.cli import main
-from trifree.constructions import twisted_tesseract, w13
+from trifree.constructions import circulant, twisted_tesseract, w13
 from trifree.graph import parse_graph6, write_graph6
 from trifree.oracle import clear_cache
 
@@ -93,40 +94,72 @@ class TestBounds:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "change",
+        "change, message",
         [
-            {"ramsey": {**RAMSEY_JSON, "2": 3}},
-            {"ramsey": {**RAMSEY_JSON, "2": ["x", 3]}},
-            {"ramsey": [1, 2]},
-            {"version": "v2"},
-            {"cells": 5},
-            {"notes": 5},
-            {"cells": [{"l": 7, "n": 22, "lower": 60, "upper": 61, "preliminary": "false"}]},
-            {"ramsey": {**RAMSEY_JSON, "14": [50, 60]}},
-            {"ramsey": {**RAMSEY_JSON, "07": [23, 24]}},
-            {"cells": [{"l": 10, "n": 41, "lower": "inf", "upper": None}]},
-            {"cells": [{"l": 10, "n": 41, "lower": -5, "upper": None}]},
-        ],
-        ids=[
-            "bare-int-pair",
-            "string-lo",
-            "list-map",
-            "string-version",
-            "int-cells",
-            "int-notes",
-            "string-flag",
-            "key-past-domain",
-            "duplicate-key",
-            "infinite-lower-null-upper",
-            "negative-lower",
+            pytest.param({"ramsey": {**RAMSEY_JSON, "2": 3}}, "interval for l=2 must be", id="bare-int-pair"),
+            pytest.param({"ramsey": {**RAMSEY_JSON, "2": ["x", 3]}}, "interval for l=2 must be", id="string-lo"),
+            pytest.param({"ramsey": [1, 2]}, "'ramsey' must map l", id="list-map"),
+            pytest.param({"version": "v2"}, "version must be an int", id="string-version"),
+            pytest.param({"cells": 5}, "'cells' must be a list", id="int-cells"),
+            pytest.param({"notes": 5}, "'notes' must be a list", id="int-notes"),
+            pytest.param(
+                {"cells": [{"l": 7, "n": 22, "lower": 60, "upper": 61, "preliminary": "false"}]},
+                "non-boolean preliminary flag",
+                id="string-flag",
+            ),
+            pytest.param({"ramsey": {**RAMSEY_JSON, "14": [50, 60]}}, "outside the table domain", id="key-past-domain"),
+            pytest.param({"ramsey": {**RAMSEY_JSON, "07": [23, 24]}}, "duplicate ramsey interval", id="duplicate-key"),
+            pytest.param(
+                {"cells": [{"l": 10, "n": 41, "lower": "inf", "upper": None}]},
+                "an infinite lower bound needs an infinite upper",
+                id="infinite-lower-null-upper",
+            ),
+            pytest.param(
+                {"cells": [{"l": 10, "n": 41, "lower": -5, "upper": None}]},
+                "a finite lower bound must be an int >= 0",
+                id="negative-lower",
+            ),
+            pytest.param({"cells": [{"n": 22, "lower": 60, "upper": 61}]}, "cell record missing l/n", id="no-l"),
+            pytest.param({"cells": [{"l": 7, "n": 22, "upper": 61}]}, "cell (7,22) has no lower endpoint", id="no-lower"),
+            pytest.param({"ramsey": {**RAMSEY_JSON, "x": [1, 2]}}, "bad ramsey key 'x'", id="non-integer-key"),
+            pytest.param({"ramsey": {**RAMSEY_JSON, "5": [14, 13]}}, "interval for l=5 is empty", id="empty-interval"),
+            pytest.param(
+                {"cells": [{"l": 5, "n": 13, "lower": 20, "upper": 21}]},
+                "cell (5,13) merged to lower 26 above upper 21",
+                id="formula-above-upper",
+            ),
         ],
     )
-    def test_malformed_data_file(self, tmp_path, capsys, change):
+    def test_malformed_data_file(self, tmp_path, capsys, change, message):
         data = {"version": 1, "ramsey": RAMSEY_JSON, "cells": [], **change}
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["bounds", "--l", "5", "--n", "5", "--data", str(path)]) == 3
-        assert "error:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("{", "bounds data is not valid JSON", id="not-json"),
+            pytest.param(json.dumps({"cells": []}), "needs 'ramsey' and 'cells' entries", id="no-ramsey"),
+            pytest.param(json.dumps({"ramsey": RAMSEY_JSON}), "needs 'ramsey' and 'cells' entries", id="no-cells"),
+        ],
+    )
+    def test_data_file_without_a_table(self, tmp_path, capsys, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["bounds", "--l", "5", "--n", "5", "--data", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_cell_without_a_record_has_no_upper(self, tmp_path, capsys):
+        # the bundled (7, 22) record is the only upper there; without it the
+        # formulas give the lower end and nothing bounds the cell above
+        path = tmp_path / "alt.json"
+        path.write_text(json.dumps({"version": 1, "ramsey": RAMSEY_JSON, "cells": []}), encoding="utf-8")
+        assert main(["bounds", "--l", "7", "--n", "22", "--data", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "58–?"
+        assert "upper: unknown" in out
 
 
 class TestTable:
@@ -206,11 +239,20 @@ class TestVerify:
     def test_failed_claim(self, tmp_path, capsys):
         path = tmp_path / "wit.g6"
         path.write_text(TESS_G6 + "\n", encoding="ascii")
-        code = main(["verify", str(path), "--e", "31"])
+        code = main(["verify", str(path), "--n", "15", "--e", "31"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL (edge count 32 != 31)" in out
+        assert "FAIL (vertex count 16 != 15; edge count 32 != 31)" in out
         assert "graphs: 1  pass: 0  fail: 1  parse errors: 0" in out
+
+    def test_blank_lines_keep_the_numbering(self, tmp_path, capsys):
+        path = tmp_path / "gaps.g6"
+        path.write_text("\n" + W13_G6 + "\n  \n\n" + TESS_G6 + "\n", encoding="ascii")
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("line 2: n=13 ")
+        assert lines[1].startswith("line 5: n=16 ")
+        assert lines[2] == "graphs: 2  pass: 2  fail: 0  parse errors: 0"
 
     def test_triangle_reported(self, tmp_path, capsys):
         path = tmp_path / "k3.g6"
@@ -309,6 +351,34 @@ class TestVerify:
         path.write_text(g6, encoding="ascii")
         assert main(["verify", str(path), "--l", "5", "--n", "13", "--e", "26"]) == 0
 
+    def test_both_formats_stream_their_records(self, monkeypatch):
+        # each record goes out as its line is read.  Output hashed as it is
+        # written, so the sink holds nothing; the digests were recorded from
+        # code that held every JSON record until the corpus ended.
+        graphs = [circulant(n, offs) for n in range(5, 11) for offs in combinations(range(1, n // 2 + 1), 2)]
+        corpus = b"\n".join(map(write_graph6, graphs * 70)) + b"\n\n"  # 2,030 graphs; some have a triangle
+
+        def run(extra, traced):
+            monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(corpus)))
+            sink = types.SimpleNamespace(digest=hashlib.sha256(), flush=lambda: None)
+            sink.write = lambda text: sink.digest.update(text.encode("utf-8"))
+            if traced:
+                tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert main(["verify", "--l", "6"] + extra) == 1
+                peak = tracemalloc.get_traced_memory()[1] if traced else None
+            finally:
+                tracemalloc.stop()
+            return sink.digest.hexdigest(), peak
+
+        digest, _ = run([], traced=False)
+        assert digest == "89d5c14e49612e56a9b6c36198259b34c019d4cd7ee332f8d2abd9fe1177b75a"
+        digest, _ = run(["--format", "json"], traced=False)
+        assert digest == "c0c654e81364814c860111b1fb4b2377e6cd8c4bcfbf40dfe5086e3f11b2ae42"
+        # holding every record until the end took 6.4 MB on this corpus
+        assert run(["--format", "json"], traced=True)[1] < 2 * 2**20
+
 
 class TestFeasible:
     def test_nonempty(self, capsys):
@@ -338,6 +408,14 @@ class TestFeasible:
         code = main(["feasible", "--l", "11", "--n", "41", "--e", "138", "--refine", "none", "--format", "json"])
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["distributions"]) == 6
+
+    def test_refine_all(self, capsys):
+        argv = ["feasible", "--l", "11", "--n", "41", "--e", "138", "--format", "json", "--refine"]
+        assert main(argv + ["all"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["refinements"] == ["r1", "r2", "r3"]
+        assert main(argv + ["r3,r2,r1"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_large_order_walks_in_small_memory(self, capsys):
         # the pruning bound keeps at most l points per suffix of the degrees,

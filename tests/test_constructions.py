@@ -79,6 +79,8 @@ class TestPatternSummary:
     def test_validation(self):
         with pytest.raises(ValueError):
             PatternSummary(0, 0, 0)
+        with pytest.raises(ValueError, match="negative pattern counts"):
+            PatternSummary(1, -1, 0)
         with pytest.raises(ValueError):
             PatternSummary(1, 3, 9)  # more than 2t edges
         with pytest.raises(ValueError):

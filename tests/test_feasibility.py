@@ -234,6 +234,11 @@ class TestEnumerateFeasible:
         ]:
             assert counts in with_default
 
+    def test_r3_rejects_when_no_split_fits_the_budget(self):
+        # a degree-2 vertex has second degree at least 2 + 2 = 4, whatever
+        # mix of degree-2 and degree-3 neighbours it has, over its budget of 3
+        assert feasibility._r3_eliminates(((2, 3), (3, 2)), {2: 3, 3: 9})
+
     def test_refinements_never_reject_known_graphs(self):
         from trifree.graph import classify
 

@@ -78,12 +78,12 @@ class TestGraphBasics:
     def test_from_adj(self):
         g = Graph(3, [(0, 1), (1, 2)])
         assert Graph.from_adj(list(g.adj)) == g
-        with pytest.raises(ValueError):
-            Graph.from_adj([1, 0])  # asymmetric
-        with pytest.raises(ValueError):
-            Graph.from_adj([2, 0])  # bit out of range on vertex 0
-        with pytest.raises(ValueError):
-            Graph.from_adj([1, 3])  # self-loop on vertex 1
+        with pytest.raises(ValueError, match="asymmetric adjacency between 0 and 1"):
+            Graph.from_adj([2, 0])
+        with pytest.raises(ValueError, match=r"adjacency row 0 has bits outside 0\.\.1"):
+            Graph.from_adj([4, 0])
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            Graph.from_adj([0, 2])
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])

@@ -51,6 +51,8 @@ class TestRoundTrip:
         assert decode_graph6(b">>graph6<<" + write_graph6(g)) == g
         with pytest.raises(Graph6Error, match=r"\(line 7\)"):
             decode_graph6(b"A", where=" (line 7)")
+        with pytest.raises(Graph6Error, match="^empty graph6 record$"):
+            decode_graph6(b">>graph6<<")
 
     def test_multi_line_and_header(self):
         chunk = b">>graph6<<A_\nA?\n\nDhc\n"

@@ -1,12 +1,16 @@
 """The package namespace: every public name, loaded from its submodule on first use."""
 
 import importlib
+import io
 import re
+import shlex
+import types
 from pathlib import Path
 
 import pytest
 
 import trifree
+from trifree.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +80,20 @@ def test_readme_library_example_runs():
     section = readme.split("## Library", 1)[1]
     example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_command_line_example_runs(tmp_path, monkeypatch, capsys):
+    # each command runs in a scratch directory; a pipe feeds one command's
+    # output to the next on stdin
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        piped = b""
+        for command in line.split("#", 1)[0].split("|"):
+            name, *argv = shlex.split(command)
+            assert name == "trifree"
+            monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(piped)))
+            assert main(argv) == 0, command
+            piped = capsys.readouterr().out.encode("utf-8")
