@@ -18,7 +18,11 @@ them, and raise_lower_bound bounds e(l, n) from below by scanning edge
 counts up to the first one with a survivor.  The walk prunes with the
 defect's linear relaxation, the upper concave envelope of (d, -f(d) - d^2),
 built once per (l, n): adding e to every point moves each hull without
-changing its corners.
+changing its corners.  At one level of the walk the counts of its degree
+that pass this bound form an interval, since the bound is concave along
+the line the count moves on and its domain test is linear in the count;
+so each level starts at the least count whose degree sum the later
+degrees can absorb and stops at the first failure after a pass.
 """
 
 from __future__ import annotations
@@ -344,20 +348,34 @@ def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
     The bound is exact once every vertex is placed, so a level that places
     the last one ends a count vector (zero for the later degrees) with degree
     sum 2e and gamma >= 0.
+
+    The counts that pass at one level form an interval: the bound is concave
+    along the line the count moves the child on, and its domain test is
+    linear in the count.  So a level starts at the least count that leaves
+    no more than the later degrees can absorb (each has degree at least
+    degs[i + 1]) and backs up at the first failure after a pass.  Each level
+    also holds the nonzero (degree, count), (degree, cap) and (degree,
+    source) pairs placed before it, which every report below it shares.
     """
     degs, (floors, sources), contrib, hulls = model
     if not _fits(hulls[0], n * e, n, 2 * e):
         return
     caps = {d: _budget(e, floor) for d, floor in floors.items()}
+    cap_pairs = [(d, caps[d]) for d in degs]
+    source_pairs = [(d, sources[d]) for d in degs]
     nd = len(degs)
     last = nd - 1
-    # the last degree takes every vertex still unplaced, so its level
-    # tries that one count only
     counts = [0] * nd
-    counts[0] = -1 if last else n - 1
+    passed = [False] * nd
     left_n = [n] * nd
     left_s = [2 * e] * nd
     gamma = [n * e] * nd
+    present = [()] * nd
+    capped = [()] * nd
+    sourced = [()] * nd
+    # a level starts one below its least count; the last degree takes every
+    # vertex still unplaced, so its level tries that one count only
+    counts[0] = n - 1 if last == 0 else max(0, -((2 * e - degs[1] * n) // (degs[1] - degs[0]))) - 1
     i = 0
     while i >= 0:
         c = counts[i] + 1
@@ -370,22 +388,34 @@ def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
         counts[i] = c
         g = gamma[i] + c * contrib[i]
         if not _fits(hulls[i + 1], g, vn, vs):
+            if passed[i]:
+                i -= 1
             continue
+        passed[i] = True
         if vn == 0:
-            present = tuple((degs[j], counts[j]) for j in range(i + 1) if counts[j])
-            if not any(test(present, caps) for test in tests):
+            pres = present[i] + ((d, c),)
+            for test in tests:
+                if test(pres, caps):
+                    break
+            else:
                 yield DefectReport(
-                    distribution=DegreeDistribution(present),
-                    caps=tuple((d, caps[d]) for d, _ in present),
-                    defect=g,
-                    cap_sources=tuple((d, sources[d]) for d, _ in present),
+                    DegreeDistribution(pres), capped[i] + (cap_pairs[i],), g, sourced[i] + (source_pairs[i],)
                 )
             continue
+        if c:
+            present[i + 1] = present[i] + ((d, c),)
+            capped[i + 1] = capped[i] + (cap_pairs[i],)
+            sourced[i + 1] = sourced[i] + (source_pairs[i],)
+        else:
+            present[i + 1] = present[i]
+            capped[i + 1] = capped[i]
+            sourced[i + 1] = sourced[i]
         i += 1
         left_n[i] = vn
         left_s[i] = vs
         gamma[i] = g
-        counts[i] = -1 if i < last else vn - 1
+        passed[i] = False
+        counts[i] = vn - 1 if i == last else max(0, -((vs - degs[i + 1] * vn) // (degs[i + 1] - degs[i]))) - 1
 
 
 def enumerate_feasible(

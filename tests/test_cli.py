@@ -327,6 +327,23 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1  # Bw is a triangle
         assert calls == [13, 16, 3, 13]
 
+    def test_k24_scan_stops_at_the_first_graph_without_one(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        find = trifree.graph.find_induced_k24
+
+        def counted(g):
+            calls.append(g.n)
+            return find(g)
+
+        monkeypatch.setattr(trifree.graph, "find_induced_k24", counted)
+        k24 = write_graph6(complete_bipartite(2, 4)).decode("ascii")
+        path = tmp_path / "mixed.g6"
+        # W13 has no induced K2,4, so the corpus answer is no after its line
+        path.write_text("\n".join([W13_G6, k24, TESS_G6]) + "\n", encoding="ascii")
+        assert main(["verify", str(path)]) == 0
+        assert calls == [13]
+        assert "induced K2,4 in every graph: no" in capsys.readouterr().out
+
     def test_json_fixture(self, capsys):
         # records, summary and exit code pinned on a small fixed corpus:
         # W13, the twisted tesseract, And(3..5), a truncated line, And(6)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import trifree.feasibility as feasibility
 from trifree.bounds import BoundsTable, default_table
@@ -419,6 +419,24 @@ class TestHullBound:
             cap = degree_cap(l, n, e, d)
             assert degree_cap(l, n, e + abs(k), d) == (None if cap is None else cap + abs(k))
 
+    @settings(max_examples=400, deadline=None)
+    @given(case=hull_cases(), k=st.integers(-60, 60), data=st.data())
+    def test_a_level_passes_an_interval_of_counts_from_its_start(self, case, k, data):
+        # a level of degree d below the hull's degrees, adding k per vertex:
+        # the walk starts at the degree-sum floor and backs up at the first
+        # failure after a pass, so no passing count may lie outside that run
+        degs, contrib, g, v, s = case
+        a = degs[0]
+        assume(a > 0)
+        d = data.draw(st.integers(0, a - 1))
+        hull = feasibility._hulls(degs, contrib)[0]
+        passing = [
+            c for c in range(v + 1) if s - c * d >= 0 and feasibility._fits(hull, g + c * k, v - c, s - c * d)
+        ]
+        if passing:
+            assert passing == list(range(passing[0], passing[-1] + 1))
+            assert passing[0] >= max(0, -((s - a * v) // (a - d)))
+
     def test_collinear_and_dominated_points_leave_the_hull(self):
         hull = feasibility._hulls([0, 1, 2, 3], [0, 1, 2, -5])[0]
         assert hull == [(0, 0), (2, 2), (3, -5)]
@@ -436,6 +454,24 @@ class TestHullBound:
         assert raise_lower_bound(12, 60) == 263
         assert raise_lower_bound(13, 60) == 240
         assert raise_lower_bound(13, 49) == 157
+
+    @pytest.mark.parametrize(
+        "cell, refinements, count, digest",
+        [
+            ((13, 43, 109), DEFAULT_REFINEMENTS, 19225, "a82dd871fc178553e4c7a904347c0144c0b5c414e5ce61a4685157c24cab938c"),
+            ((11, 41, 139), ALL_REFINEMENTS, 991, "ca24cbfd717b6491dafaa46858f345fdb336b7c0eff42d64d6343c1c6704032a"),
+        ],
+        ids=["13-43-109-r1", "11-41-139-all"],
+    )
+    def test_pinned_whole_reports(self, cell, refinements, count, digest):
+        # every field of every report, cap_sources included, as the walk
+        # built them before survivors shared their prefix tuples
+        h = hashlib.sha256()
+        reports = enumerate_feasible(*cell, refinements=refinements)
+        for rep in reports:
+            h.update(repr(rep).encode() + b"\n")
+        assert len(reports) == count
+        assert h.hexdigest() == digest
 
 
 class TestRaiseLowerBound:
