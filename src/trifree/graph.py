@@ -3,7 +3,8 @@
 Vertices are labeled 0..n-1 and every adjacency row is a Python int used
 as a bitset, so the hot operations (common neighborhoods, independence
 tests, triangle checks) are single AND/popcount steps.  Graphs are
-immutable after construction and safe to share.
+immutable after construction and safe to share; a graph only keeps the
+answer of its first triangle test, so that the test runs once.
 
 Triangle-freeness is deliberately not a construction invariant: the
 verifier has to be able to load arbitrary graphs.  Operations that only
@@ -37,7 +38,7 @@ class Graph:
     empty a graph out entirely.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_triangle_free")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not 0 <= n <= MAX_VERTICES:
@@ -52,6 +53,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
+        self._triangle_free = None  # filled in by the first triangle test
 
     @classmethod
     def from_adj(cls, adj: Sequence[int]) -> "Graph":
@@ -139,38 +141,77 @@ class GraphClass(NamedTuple):
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are mutually adjacent."""
-    adj = g.adj
-    for u in range(g.n):
-        rest = adj[u] >> (u + 1)
+    return _triangle_free(g)
+
+
+def _triangle_free(g: Graph) -> bool:
+    """The triangle test, run once per graph: classify asks it, and so does
+    independence_number, which uses two facts that hold only without
+    triangles."""
+    known = g._triangle_free
+    if known is None:
+        known = g._triangle_free = _scan_triangle_free(g.adj)
+    return known
+
+
+def _scan_triangle_free(adj: Sequence[int]) -> bool:
+    for u, row in enumerate(adj):
+        rest = row >> (u + 1)
         base = u + 1
         while rest:
             low = rest & -rest
-            w = base + low.bit_length() - 1
-            if adj[u] & adj[w]:
+            if row & adj[base + low.bit_length() - 1]:
                 return False
             rest ^= low
     return True
 
 
 def _clique_cover(adj: Sequence[int], avail: int) -> int:
-    """Size of a greedy clique cover of avail, an upper bound on its independence number.
+    """Size of a clique cover of avail, an upper bound on its independence number.
 
-    Each clique meets an independent set in at most one vertex.
+    Each clique meets an independent set in at most one vertex.  The cover
+    is greedy.  When all its cliques are edges and single vertices (always so
+    without triangles) the edges form a matching, and each path u-a-b-w
+    from a single vertex through a matched edge {a, b} to another single
+    vertex trades the three cliques {u}, {a, b} and {w} for the two edges
+    ua and bw.
     """
-    b = 0
+    cover = 0
+    singles = 0
+    pairs: list[tuple[int, int]] | None = []
     rest = avail
     while rest:
-        b += 1
+        cover += 1
         low = rest & -rest
-        v = low.bit_length() - 1
         rest ^= low
+        v = low.bit_length() - 1
         cand = adj[v] & rest
+        if not cand:
+            singles |= low
+            continue
+        wlow = cand & -cand
+        rest ^= wlow
+        w = wlow.bit_length() - 1
+        cand &= adj[w]
+        if pairs is not None:
+            if cand:
+                pairs = None
+            else:
+                pairs.append((v, w))
         while cand:
             wlow = cand & -cand
-            w = wlow.bit_length() - 1
-            rest &= ~wlow
-            cand &= adj[w]
-    return b
+            rest ^= wlow
+            cand &= adj[wlow.bit_length() - 1]
+    if pairs and singles:
+        for a, b in pairs:
+            u = adj[a] & singles
+            if u:
+                u &= -u
+                w = adj[b] & singles & ~u
+                if w:
+                    singles ^= u | (w & -w)
+                    cover -= 1
+    return cover
 
 
 def independence_number(g: Graph) -> int:
@@ -178,13 +219,18 @@ def independence_number(g: Graph) -> int:
 
     The incumbent starts from a greedy independent set that always takes
     a vertex of least remaining degree.  Each node takes vertices of
-    degree at most one (always optimal), prunes with a greedy clique
-    cover of the rest, and branches on a maximum-degree vertex: either
-    exclude it, or include it and delete its closed neighborhood.  The
-    reduction pass that takes nothing has seen every degree, so it also
-    names that vertex.  Always exact; intended for n <= 128.
+    degree at most one (always optimal), prunes with a clique cover of
+    the rest, and branches on a maximum-degree vertex: either exclude it,
+    or include it and delete its closed neighborhood.  The reduction pass
+    that takes nothing has seen every degree, so it also names that
+    vertex.  Without triangles two facts come free: that vertex's
+    neighbourhood is independent, so it raises the incumbent, and every
+    clique is at most an edge, so the cover is computed only when half of
+    the remaining vertices could not beat the incumbent anyway.  Always
+    exact; intended for n <= 128.
     """
     adj = g.adj
+    triangle_free = _triangle_free(g)
     best = 0
     avail = (1 << g.n) - 1
     while avail:
@@ -220,9 +266,17 @@ def independence_number(g: Graph) -> int:
             if size > best:
                 best = size
             return
-        if size + avail.bit_count() <= best:
+        count = avail.bit_count()
+        if size + count <= best:
             return
-        if size + _clique_cover(adj, avail) <= best:
+        if triangle_free:
+            # v_pick's neighbourhood is independent, and cliques of at most
+            # two vertices need at least half as many as avail has vertices
+            if size + d_pick > best:
+                best = size + d_pick
+            if size + (count + 1) // 2 <= best and size + _clique_cover(adj, avail) <= best:
+                return
+        elif size + _clique_cover(adj, avail) <= best:
             return
         vbit = 1 << v_pick
         bb(avail & ~(adj[v_pick] | vbit), size + 1)
@@ -289,7 +343,15 @@ def find_induced_k24(g: Graph):
 
 # graph6 I/O, bit-exact per the published format description.
 # Column-major upper triangle; 6-bit groups offset by 63; optional
-# ">>graph6<<" header; one graph per line.
+# ">>graph6<<" header; one graph per line.  Both directions hold the bit
+# stream as one int whose bit k is the stream's k-th bit, so column j,
+# the pairs (0, j) .. (j-1, j), is a j-bit slice equal to the low bits
+# of adj[j].
+
+_ALPHABET = bytes(range(63, 127))
+# graph6 byte -> its six bits, first bit first; the value of six bits -> byte
+_DIGIT_BITS = ("",) * 63 + tuple(format(v, "06b") for v in range(64))
+_BITS_DIGIT = {bits: 63 + v for v, bits in enumerate(_DIGIT_BITS[63:])}
 
 
 def _encode_count(n: int) -> bytes:
@@ -301,23 +363,16 @@ def _encode_count(n: int) -> bytes:
 
 def write_graph6(g: Graph) -> bytes:
     """Encode one graph as a graph6 line (no trailing newline)."""
-    n = g.n
-    out = bytearray(_encode_count(n))
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(acc + 63)
-    return bytes(out)
+    stream = 0
+    pos = 0
+    for j in range(1, g.n):
+        stream |= (g.adj[j] & ((1 << j) - 1)) << pos
+        pos += j
+    width = -(-pos // 6) * 6
+    # format writes the last stream bit first, so reversed its string is
+    # the stream, zero padded to whole digits
+    bits = format(stream, f"0{width}b")[::-1] if width else ""
+    return _encode_count(g.n) + bytes([_BITS_DIGIT[bits[k:k + 6]] for k in range(0, width, 6)])
 
 
 def decode_graph6(line: bytes, where: str = "") -> Graph:
@@ -331,9 +386,9 @@ def decode_graph6(line: bytes, where: str = "") -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise Graph6Error(f"empty graph6 record{where}")
-    for c in s:
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"byte {c} outside graph6 alphabet{where}")
+    bad = s.translate(None, _ALPHABET)
+    if bad:
+        raise Graph6Error(f"byte {bad[0]} outside graph6 alphabet{where}")
     if s[0] == 126:
         if len(s) >= 2 and s[1] == 126:
             raise Graph6Error(f"8-byte vertex counts not supported{where}")
@@ -352,24 +407,20 @@ def decode_graph6(line: bytes, where: str = "") -> Graph:
         raise Graph6Error(f"truncated bit stream ({len(body)} of {need} bytes){where}")
     if len(body) > need:
         raise Graph6Error(f"trailing data after bit stream{where}")
+    stream = int("".join(map(_DIGIT_BITS.__getitem__, body))[::-1], 2) if body else 0
+    if stream >> npairs:
+        raise Graph6Error(f"nonzero padding bits{where}")
     adj = [0] * n
-    # pairs in column-major upper-triangle order: (0,1), (0,2), (1,2), (0,3), ...
-    i, j = 0, 1
-    idx = 0
-    for c in body:
-        bits = c - 63
-        for k in range(5, -1, -1):
-            bit = (bits >> k) & 1
-            if idx < npairs:
-                if bit:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise Graph6Error(f"nonzero padding bits{where}")
-            idx += 1
+    for j in range(1, n):
+        col = stream & ((1 << j) - 1)
+        stream >>= j
+        adj[j] |= col
+        # mirror each pair (i, j) into row i
+        jbit = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= jbit
+            col ^= low
     g = Graph(n)
     g.adj = tuple(adj)
     return g

@@ -5,9 +5,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trifree import graph
 from trifree.constructions import circulant, twisted_tesseract, w13
 from trifree.graph import (
     Graph,
+    _clique_cover,
     classify,
     edge_slack,
     find_induced_k24,
@@ -42,6 +44,7 @@ CIRCULANTS = st.integers(5, 32).flatmap(
     lambda n: st.sets(st.integers(1, n // 2), min_size=1, max_size=4).map(lambda offs: circulant(n, offs))
 )
 MAXIMAL_TRIANGLE_FREE = st.builds(maximal_triangle_free, st.integers(0, 2**32).map(random.Random), st.integers(20, 45))
+SMALL_TRIANGLE_FREE = st.builds(random_triangle_free, st.integers(0, 2**32).map(random.Random), st.integers(0, 12))
 
 
 class TestGraphBasics:
@@ -102,6 +105,17 @@ class TestTriangleFree:
         assert not is_triangle_free(complete(4))
         assert is_triangle_free(Graph(0))
 
+    def test_classify_scans_once(self, monkeypatch):
+        # alpha reads the answer classify's triangle test left on the graph
+        calls = []
+        scan = graph._scan_triangle_free
+        monkeypatch.setattr(graph, "_scan_triangle_free", lambda adj: calls.append(adj) or scan(adj))
+        for g in (w13(), complete(4), Graph(0)):
+            classify(g)
+            independence_number(g)
+            assert is_triangle_free(g) == scan(g.adj)
+        assert len(calls) == 3
+
     def test_against_brute(self):
         rng = random.Random(101)
         for _ in range(200):
@@ -159,6 +173,30 @@ class TestIndependenceNumber:
     def test_matches_networkx(self, g):
         assert independence_number(g) == nx_alpha(g)
 
+    def test_maximal_triangle_free_pinned(self):
+        # values recorded with the plain greedy cover, before the
+        # triangle-free incumbent and the augmented cover
+        rng = random.Random(2501)
+        alphas = []
+        for n in range(30, 61, 5):
+            g = maximal_triangle_free(rng, n)
+            alphas.append(independence_number(g))
+            assert alphas[-1] == _alpha_scan(g.adj)
+        assert alphas == [10, 13, 13, 14, 15, 17, 17]
+
+
+class TestCliqueCover:
+    def test_path_through_a_matched_edge(self):
+        # the greedy cover is {0, 1}, {2}, {3}; the path 2-0-1-3 trades
+        # those three cliques for the edges 02 and 13
+        assert _clique_cover(Graph(4, [(0, 1), (0, 2), (1, 3)]).adj, 0b1111) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.one_of(graphs(12), SMALL_TRIANGLE_FREE), data=st.data())
+    def test_bounds_alpha(self, g, data):
+        avail = data.draw(st.integers(0, (1 << g.n) - 1))
+        assert _clique_cover(g.adj, avail) >= brute_alpha(induced(g, avail))
+
 
 class TestAlphaTimeGuard:
     """Exact alpha on large sparse and symmetric graphs stays fast.
@@ -168,7 +206,15 @@ class TestAlphaTimeGuard:
     vertex instead of a maximum-degree one, about 25 s.  Colour-ordered
     branching (Tomita-style colouring bounds) was faster on the verify
     corpus but did not finish the random tree or circulant(100, (1, 4))
-    within 20 s, so it must not replace them.
+    within 20 s, so it must not replace them.  Two more designs were
+    rejected against the 102 maximal triangle-free graphs (n 20-70) of the
+    verify benchmark's corpus, where the augmented cover and the two
+    triangle-free facts take about 0.2 s: Ostergard's Russian-doll search
+    took 0.16 s there but 293 s, against 2 ms, on three triangle-free
+    G(80, 0.05) graphs; a bound that packs disjoint 5-cycles (each holds at
+    most two independent vertices) halved the nodes but took 0.33 s.  The
+    70-vertex maximal triangle-free graph and the dense G(80, 0.5) below
+    guard both sides of the triangle test.
     """
 
     def test_large_graphs(self):
@@ -183,6 +229,8 @@ class TestAlphaTimeGuard:
             (tree, tree_alpha),
             (circulant(100, (1, 4)), 40),
             (circulant(128, (1, 10)), 58),
+            (maximal_triangle_free(random.Random(70), 70), 19),
+            (random_graph(random.Random(80), 80, p=0.5), 9),
         ]
         start = time.process_time()
         for g, alpha in cases:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from trifree.constructions import w13
 from trifree.graph import GRAPH6_HEADER, Graph, Graph6Error, decode_graph6, parse_graph6, write_graph6
 
-from helpers import complete_bipartite, cycle, graphs, random_graph, to_nx
+from helpers import complete_bipartite, cycle, graphs, maximal_triangle_free, random_graph, to_nx
 
 
 class TestRoundTrip:
@@ -34,6 +34,16 @@ class TestRoundTrip:
             if n >= 63:
                 assert data.startswith(b"~")
             assert parse_graph6(data) == [g]
+
+    def test_orders_across_the_long_count_form(self):
+        # every order 60..70, sparse and dense, against networkx's encoder
+        rng = random.Random(16)
+        for n in range(60, 71):
+            for g in (maximal_triangle_free(rng, n), random_graph(rng, n, p=rng.random())):
+                data = write_graph6(g)
+                assert (data[0] == 126) == (n >= 63)
+                assert data == nx.to_graph6_bytes(to_nx(g), header=False).strip()
+                assert decode_graph6(data) == g
 
     @settings(max_examples=200, deadline=None)
     @given(g=graphs(128))
