@@ -22,7 +22,11 @@ changing its corners.  At one level of the walk the counts of its degree
 that pass this bound form an interval, since the bound is concave along
 the line the count moves on and its domain test is linear in the count;
 so each level starts at the least count whose degree sum the later
-degrees can absorb and stops at the first failure after a pass.
+degrees can absorb and stops at the first failure after a pass.  At one
+edge count a survivor's support, the degrees it uses, fixes its caps and
+cap_sources, so the walk builds the two tuples once per support and each
+(degree, count) pair once, and all reports share them: a listing holds one
+per distinct support or pair it yielded, not one per report.
 """
 
 from __future__ import annotations
@@ -347,22 +351,28 @@ def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
     is entered only when its hull bound leaves room for a nonnegative defect.
     The bound is exact once every vertex is placed, so a level that places
     the last one ends a count vector (zero for the later degrees) with degree
-    sum 2e and gamma >= 0.
+    sum 2e and gamma >= 0, and ends its level: one more vertex would not fit.
 
     The counts that pass at one level form an interval: the bound is concave
     along the line the count moves the child on, and its domain test is
     linear in the count.  So a level starts at the least count that leaves
     no more than the later degrees can absorb (each has degree at least
     degs[i + 1]) and backs up at the first failure after a pass.  Each level
-    also holds the nonzero (degree, count), (degree, cap) and (degree,
-    source) pairs placed before it, which every report below it shares.
+    also holds the nonzero (degree, count) pairs placed before it and the
+    mask of their degree indices, its support.
+
+    At one edge count the support fixes a report's caps and cap_sources, so
+    the two tuples are built at the first report on each support and shared
+    by every later one; the (degree, count) pairs of the reports are shared
+    the same way.  Each of the two tables holds one entry per distinct
+    support or pair among the reports yielded, and nothing else.
     """
     degs, (floors, sources), contrib, hulls = model
     if not _fits(hulls[0], n * e, n, 2 * e):
         return
-    caps = {d: _budget(e, floor) for d, floor in floors.items()}
-    cap_pairs = [(d, caps[d]) for d in degs]
-    source_pairs = [(d, sources[d]) for d in degs]
+    caps = {d: e - floor for d, floor in floors.items()}  # _budget, as every floor here is finite
+    shared = {}  # support mask -> (caps, cap_sources) of its reports
+    pairs = {}  # (degree, count) -> the one such pair the reports hold
     nd = len(degs)
     last = nd - 1
     counts = [0] * nd
@@ -371,8 +381,7 @@ def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
     left_s = [2 * e] * nd
     gamma = [n * e] * nd
     present = [()] * nd
-    capped = [()] * nd
-    sourced = [()] * nd
+    support = [0] * nd
     # a level starts one below its least count; the last degree takes every
     # vertex still unplaced, so its level tries that one count only
     counts[0] = n - 1 if last == 0 else max(0, -((2 * e - degs[1] * n) // (degs[1] - degs[0]))) - 1
@@ -398,18 +407,19 @@ def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
                 if test(pres, caps):
                     break
             else:
-                yield DefectReport(
-                    DegreeDistribution(pres), capped[i] + (cap_pairs[i],), g, sourced[i] + (source_pairs[i],)
-                )
+                mask = support[i] | 1 << i
+                if mask not in shared:
+                    shared[mask] = tuple([(a, caps[a]) for a, _ in pres]), tuple([(a, sources[a]) for a, _ in pres])
+                capped, sourced = shared[mask]
+                yield DefectReport(DegreeDistribution(tuple(map(pairs.setdefault, pres, pres))), capped, g, sourced)
+            i -= 1
             continue
         if c:
             present[i + 1] = present[i] + ((d, c),)
-            capped[i + 1] = capped[i] + (cap_pairs[i],)
-            sourced[i + 1] = sourced[i] + (source_pairs[i],)
+            support[i + 1] = support[i] | 1 << i
         else:
             present[i + 1] = present[i]
-            capped[i + 1] = capped[i]
-            sourced[i + 1] = sourced[i]
+            support[i + 1] = support[i]
         i += 1
         left_n[i] = vn
         left_s[i] = vs

@@ -154,15 +154,16 @@ def _quotient(adj: Sequence[int], cells: list[list[int]]) -> int:
     return hash((*map(len, cells), *[(adj[cell[0]] & mask).bit_count() for cell in cells for mask in masks]))
 
 
-def _certificate(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency rows of the graph relabelled so that order[i] becomes vertex i."""
+def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of the graph with neighbour lists nbrs relabelled so that
+    order[i] becomes vertex i."""
     bit = [0] * len(order)  # bit[v] is the mask of v's new label
     for i, v in enumerate(order):
         bit[v] = 1 << i
     rows = []
     for v in order:
         row = 0
-        for w in _bits(adj[v]):
+        for w in nbrs[v]:
             row |= bit[w]
         rows.append(row)
     return tuple(rows)
@@ -214,6 +215,16 @@ def _best_certificate(adj: Sequence[int], cells: list[list[int]]) -> tuple[int, 
     node's path pointwise prune its children to one per orbit.
     """
     m = len(adj)
+    # every leaf's certificate reads these neighbour lists; a _bits generator
+    # per row would cost the oracle's small graphs more than their leaves save
+    nbrs = []
+    for row in adj:
+        ws = []
+        while row:
+            low = row & -row
+            ws.append(low.bit_length() - 1)
+            row ^= low
+        nbrs.append(ws)
     gens: list[tuple[int, list[tuple[int, int]]]] = []  # (mask of moved vertices, moves)
     leaves: list[tuple[tuple[int, ...], list[int], list[int]]] = []  # first and best leaf
 
@@ -225,7 +236,7 @@ def _best_certificate(adj: Sequence[int], cells: list[list[int]]) -> tuple[int, 
                 break
         else:
             order = [v for cell in cells for v in cell]
-            cert = _certificate(adj, order)
+            cert = _certificate(nbrs, order)
             if not leaves:
                 leaves[:] = [(cert, order, path)] * 2
                 return depth

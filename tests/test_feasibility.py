@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -249,6 +250,24 @@ class TestEnumerateFeasible:
                 about.alpha + 1, g.n, g.edge_count(), refinements=ALL_REFINEMENTS
             )
             assert dist in [r.distribution for r in reports]
+
+    def test_reports_share_caps_and_sources_per_support(self):
+        # a support fixes caps and cap_sources at one edge count: 19,225
+        # reports share 317 objects of each, and the list fits in 5 MiB
+        default_table()
+        tracemalloc.start()
+        try:
+            reports = enumerate_feasible(13, 43, 109)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = {}
+        for rep in reports:
+            held.setdefault(rep.caps, set()).add((id(rep.caps), id(rep.cap_sources)))
+        assert len(reports) == 19225
+        assert len(held) == 317 and all(len(objects) == 1 for objects in held.values())
+        assert len({id(rep.cap_sources) for rep in reports}) == 317
+        assert peak < 5 * 2**20
 
 
 def _count_vector(dist, l, n):
