@@ -140,12 +140,9 @@ class GraphClass(NamedTuple):
 
 
 def is_triangle_free(g: Graph) -> bool:
-    """True iff no three vertices are mutually adjacent."""
-    return _triangle_free(g)
+    """True iff no three vertices are mutually adjacent.
 
-
-def _triangle_free(g: Graph) -> bool:
-    """The triangle test, run once per graph: classify asks it, and so does
+    The scan runs once per graph: classify asks it, and so does
     independence_number, which uses two facts that hold only without
     triangles."""
     known = g._triangle_free
@@ -217,26 +214,23 @@ def _clique_cover(adj: Sequence[int], avail: int) -> int:
 def independence_number(g: Graph) -> int:
     """Exact independence number via branch and bound on bitsets.
 
-    The incumbent starts from a greedy independent set that always takes
-    a vertex of least remaining degree.  Each node takes vertices of
-    degree at most one (always optimal), prunes with a clique cover of
-    the rest, and branches on a maximum-degree vertex: either exclude it,
-    or include it and delete its closed neighborhood.  The reduction pass
-    that takes nothing has seen every degree, so it also names that
-    vertex.  Without triangles two facts come free: that vertex's
+    Each node takes vertices of degree at most one (always optimal),
+    prunes with a clique cover of the rest, and branches on a
+    maximum-degree vertex: first exclude it, then include it and delete
+    its closed neighborhood.  The reduction pass that takes nothing has
+    seen every degree, so it also names that vertex.  The first dive is
+    thus the max-degree-deletion greedy: it deletes a maximum-degree
+    vertex at a time until every degree is at most one and takes the
+    rest, which gives the search its first incumbent with no separate
+    pass.  Without triangles two facts come free: that vertex's
     neighbourhood is independent, so it raises the incumbent, and every
     clique is at most an edge, so the cover is computed only when half of
     the remaining vertices could not beat the incumbent anyway.  Always
     exact; intended for n <= 128.
     """
     adj = g.adj
-    triangle_free = _triangle_free(g)
+    triangle_free = is_triangle_free(g)
     best = 0
-    avail = (1 << g.n) - 1
-    while avail:
-        v = min(_bits(avail), key=lambda u: (adj[u] & avail).bit_count())
-        avail &= ~(adj[v] | 1 << v)
-        best += 1
 
     def bb(avail: int, size: int) -> None:
         nonlocal best
@@ -279,8 +273,8 @@ def independence_number(g: Graph) -> int:
         elif size + _clique_cover(adj, avail) <= best:
             return
         vbit = 1 << v_pick
-        bb(avail & ~(adj[v_pick] | vbit), size + 1)
         bb(avail & ~vbit, size)
+        bb(avail & ~(adj[v_pick] | vbit), size + 1)
 
     bb((1 << g.n) - 1, 0)
     return best

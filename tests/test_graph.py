@@ -214,7 +214,16 @@ class TestAlphaTimeGuard:
     G(80, 0.05) graphs; a bound that packs disjoint 5-cycles (each holds at
     most two independent vertices) halved the nodes but took 0.33 s.  The
     70-vertex maximal triangle-free graph and the dense G(80, 0.5) below
-    guard both sides of the triangle test.
+    guard both sides of the triangle test.  With a separate greedy start
+    (least remaining degree first, one Python key call per vertex per
+    step) each 128-vertex graph here that the search settles in one node
+    took 1.1-1.4 ms, and 0.05-0.8 ms without; it was deleted.  Deleting it
+    while the include branch still ran first took circulant(100, (1, 4))
+    from 0.76 to 0.97 s (25,085 to 41,491 nodes) and circulant(128,
+    (1, 10)) from 21 to 45 ms; with the exclude branch first, the first
+    dive is the max-degree-deletion greedy and they take 0.68 s and 20 ms.
+    C128 and two G(120, 0.05) graphs extend the guard to a long cycle and
+    to sparse graphs with triangles above 100 vertices.
     """
 
     def test_large_graphs(self):
@@ -231,6 +240,9 @@ class TestAlphaTimeGuard:
             (circulant(128, (1, 10)), 58),
             (maximal_triangle_free(random.Random(70), 70), 19),
             (random_graph(random.Random(80), 80, p=0.5), 9),
+            (cycle(128), 64),
+            (random_graph(random.Random(120), 120, p=0.05), 48),
+            (random_graph(random.Random(121), 120, p=0.05), 46),
         ]
         start = time.process_time()
         for g, alpha in cases:
