@@ -373,6 +373,9 @@ def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
     caps = {d: e - floor for d, floor in floors.items()}  # _budget, as every floor here is finite
     shared = {}  # support mask -> (caps, cap_sources) of its reports
     pairs = {}  # (degree, count) -> the one such pair the reports hold
+    # the counts are ascending and positive by construction, so the reports
+    # skip DegreeDistribution's checks
+    new_dist = tuple.__new__
     nd = len(degs)
     last = nd - 1
     counts = [0] * nd
@@ -411,7 +414,8 @@ def _walk(model: tuple, tests: tuple, n: int, e: int) -> Iterator[DefectReport]:
                 if mask not in shared:
                     shared[mask] = tuple([(a, caps[a]) for a, _ in pres]), tuple([(a, sources[a]) for a, _ in pres])
                 capped, sourced = shared[mask]
-                yield DefectReport(DegreeDistribution(tuple(map(pairs.setdefault, pres, pres))), capped, g, sourced)
+                dist = new_dist(DegreeDistribution, (tuple(map(pairs.setdefault, pres, pres)),))
+                yield DefectReport(dist, capped, g, sourced)
             i -= 1
             continue
         if c:

@@ -11,27 +11,30 @@ Two tiers deliberately share no code with the bounds machinery:
   e(l, m).  The targets start at ceil(m e(l, m - 1) / (m - 2)), a floor
   the oracle proves from its own value one order below, never the table.
   Each child is its parent plus one vertex, and the parent settles two
-  things: the child's independence number is max(alpha(parent), 1 +
-  alpha(parent minus the new vertex's neighbourhood)), so alpha scans only
-  that smaller graph, and only until the child is shown to reach
-  independence l; and a neighbourhood that uses higher-indexed open twins
-  of the parent where lower ones are free would give a child isomorphic
-  to one built from the lower ones, so such neighbourhoods are never
-  generated.  A child is kept only when its new vertex is in the first
-  cell of the child's equitable partition, the refinement canonical_key
-  starts from.  That cell holds only vertices of least degree and moves
-  with any relabelling, so deleting a first-cell vertex again and again
-  leads from any graph back to the empty one through graphs the search
-  keeps: the first half of McKay's canonical construction path
-  ("Isomorph-free exhaustive generation", 1998).  The kept children of a
-  level are bucketed by the quotient of that partition, an isomorphism
-  invariant, and canonical_key (equitable refinement plus
-  individualisation-refinement, the core of nauty) runs only on children
-  whose quotients collide, so most classes are never keyed.  Every target
-  and order replays the same levels, so one call memoizes each labelled
-  graph's quotient hash (None for one the first-cell rule drops) and the
-  canonical key of each graph it had to key; the memos grow with the
-  whole call, so only the node budget bounds them.
+  things: the child's independence number exceeds the parent's exactly
+  when some maximum independent set of the parent misses the new vertex's
+  neighbourhood, so a child first tests the sets its parent has found,
+  one AND each, and scans for a new one only when they all fail; and a
+  neighbourhood that uses higher-indexed open twins of the parent where
+  lower ones are free would give a child isomorphic to one built from
+  the lower ones, so such neighbourhoods are never generated.  A child is
+  kept only when its new vertex is in the first cell of the child's
+  equitable partition, the refinement canonical_key starts from; the
+  refinement stops once the vertex leaves that cell, and a kept child
+  hands the partition on to canonical_key.  That cell holds only
+  vertices of least degree and moves with any relabelling, so deleting a
+  first-cell vertex again and again leads from any graph back to the
+  empty one through graphs the search keeps: the first half of McKay's
+  canonical construction path ("Isomorph-free exhaustive generation",
+  1998).  The kept children of a level are bucketed by the quotient of
+  that partition, an isomorphism invariant, and canonical_key (equitable
+  refinement plus individualisation-refinement, the core of nauty) runs
+  only on children whose quotients collide, so most classes are never
+  keyed.  Every target and order replays the same levels, so one call
+  memoizes each labelled graph's quotient hash (None for one the
+  first-cell rule drops) and the canonical key of each graph it had to
+  key; the memos grow with the whole call, so only the node budget bounds
+  them.
 
 Values confirmed here feed cross_validate, which compares them against
 the published table and re-verifies every witness through the graph-core
@@ -71,39 +74,31 @@ class OracleResult(NamedTuple):
 # small helpers shared by both tiers
 
 
-def _alpha_scan(adj: Sequence[int], avail: int | None = None, best: int = 0, stop: int | None = None) -> int:
-    """Larger of best and the independence number of the graph induced by avail.
+def _independent_set(adj: Sequence[int], avail: int, k: int) -> int | None:
+    """Mask of an independent set of exactly k vertices inside avail, or None.
 
-    avail defaults to every vertex.  Plain take/skip branching on the lowest
-    bit; a branch that cannot beat the incumbent best is cut, so a high
-    starting incumbent prunes most of the scan.  With stop given the scan
-    returns as soon as the incumbent reaches it: the result is exact below
-    stop and at least stop otherwise.  Kept intentionally separate from
-    graph.independence_number so the two implementations can check each
-    other.
+    None means the graph induced by avail has independence number below k.
+    Plain take/skip branching on the lowest bit; a branch with fewer
+    vertices left than it still needs is cut, and the first set of k found
+    is returned.  Kept intentionally separate from graph.independence_number
+    so the two implementations can check each other.
     """
-    if stop is None:
-        stop = len(adj) + 1
 
-    def go(avail: int, size: int) -> None:
-        nonlocal best
-        while avail:
-            if size + avail.bit_count() <= best:
-                return
+    def go(avail: int, k: int) -> int | None:
+        if k == 1:
+            return avail & -avail or None
+        while avail.bit_count() >= k:
             low = avail & -avail
-            v = low.bit_length() - 1
-            go(avail & ~(adj[v] | low), size + 1)
-            if best >= stop:
-                return
+            found = go(avail & ~(adj[low.bit_length() - 1] | low), k - 1)
+            if found is not None:
+                return found | low
             avail ^= low
-        if size > best:
-            best = size
+        return None
 
-    go((1 << len(adj)) - 1 if avail is None else avail, 0)
-    return best
+    return 0 if k == 0 else go(avail, k)
 
 
-def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> None:
+def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int], vertex: int | None = None) -> bool:
     """Refine the ordered partition cells in place until it is equitable.
 
     queue holds splitter vertex masks.  Each splitter splits every cell by
@@ -113,6 +108,11 @@ def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> Non
     already (queued, done, or itself the difference of such).  Every step
     depends only on the partition and the counts, so the outcome commutes
     with relabelling.
+
+    With vertex given, which must be in the first cell, the refinement
+    stops and returns False as soon as vertex leaves the first cell: cells
+    only split in place and keep their order, so it cannot come back, and
+    cells is then left part-refined.  Otherwise it returns True.
     """
     m = len(adj)
     while queue and len(cells) < m:
@@ -129,6 +129,8 @@ def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> Non
                         else:
                             groups[k] = [v]
                     frags = [groups[k] for k in sorted(groups)]
+                    if not out and vertex is not None and vertex not in frags[0]:
+                        return False
                     out += frags
                     big = max(frags, key=len)
                     for frag in frags:
@@ -140,6 +142,7 @@ def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> Non
                     continue
             out.append(cell)
         cells[:] = out
+    return True
 
 
 def _quotient(adj: Sequence[int], cells: list[list[int]]) -> int:
@@ -150,7 +153,12 @@ def _quotient(adj: Sequence[int], cells: list[list[int]]) -> int:
     the counts, and every cell must hold one.  _refine commutes with
     relabelling, so isomorphic graphs have equal quotients.
     """
-    masks = [sum(1 << v for v in cell) for cell in cells]
+    masks = []
+    for cell in cells:
+        mask = 0
+        for v in cell:
+            mask |= 1 << v
+        masks.append(mask)
     return hash((*map(len, cells), *[(adj[cell[0]] & mask).bit_count() for cell in cells for mask in masks]))
 
 
@@ -276,7 +284,7 @@ def _best_certificate(adj: Sequence[int], cells: list[list[int]]) -> tuple[int, 
     return leaves[1][0]
 
 
-def canonical_key(adj: Sequence[int], n: int) -> tuple:
+def canonical_key(adj: Sequence[int], n: int, cells: list[list[int]] | None = None) -> tuple:
     """Isomorphism-invariant key: equal keys if and only if isomorphic.
 
     adj holds the n adjacency rows.  The vertices are refined to an
@@ -293,10 +301,13 @@ def canonical_key(adj: Sequence[int], n: int) -> tuple:
     first cell, and keys it only when the quotient of that partition
     collides with another child's at its level.  So a change to _refine
     moves the witnesses the search returns and the graphs it keys, never
-    its values.
+    its values.  cells, when given, is that root partition already
+    refined (as _round has it for the child it just tested), and the root
+    refinement is skipped; the key is the same either way.
     """
-    cells = [list(range(n))]
-    _refine(adj, cells, [(1 << n) - 1])
+    if cells is None:
+        cells = [list(range(n))]
+        _refine(adj, cells, [(1 << n) - 1])
     return (n, *_best_certificate(adj, cells))
 
 
@@ -371,18 +382,26 @@ def _round(
     arrive at the last level.  Every level below the last keeps one graph
     per class of the (l, p)-graphs that can still grow within t.
 
-    A state is a parent graph's adjacency rows and its independence number
-    ap; one pass over the rows gives the parent's degrees, and they give
-    its edge count, its least degree low, the mask must of its vertices of
-    degree low, and its eligible vertices, those below degree l - 1.  Its
-    children join a new vertex p to each twin-minimal independent set S of
-    eligible vertices, the sets of each size in lexicographic order, while
-    the edge count plus |S| plus the floors of the orders still to come is
-    within t:
+    A state is a parent graph's adjacency rows and one of its maximum
+    independent sets, as a mask; its size is the parent's independence
+    number ap.  One pass over the rows gives the parent's degrees, and they
+    give its edge count, its least degree low, the mask must of its
+    vertices of degree low, and its eligible vertices, those below degree
+    l - 1.  Its children join a new vertex p to each twin-minimal
+    independent set S of eligible vertices, the sets of each size in
+    lexicographic order, while the edge count plus |S| plus the floors of
+    the orders still to come is within t:
 
-    * alpha(child) = max(ap, 1 + alpha(parent - S)), so alpha scans only the
-      parent outside S, with ap - 1 as the starting incumbent, and stops
-      once it reaches l - 1: the child is rejected either way.
+    * alpha(child) = max(ap, 1 + alpha(parent - S)), so the child's
+      independence number is ap + 1 if some independent ap-set of the
+      parent misses S, and ap otherwise; no set can be larger.  The parent
+      keeps the ap-sets found so far, its state's set first, and a child
+      tests them with one AND each.  Only when S meets all of them does
+      _independent_set look for an ap-set outside S, and a set it finds
+      joins the list.  An S that meets every ap-set is met by every
+      superset of it, so the sets built from it need no test.  A child of
+      independence l is rejected; a kept child's set is the ap-set that
+      misses S plus p, or the parent's set when S meets every ap-set.
     * Eligible vertices with equal rows (open twins) are never adjacent, and
       swapping two of them is an automorphism of the parent, so a set that
       skips a lower twin for a higher one gives a child isomorphic to one
@@ -395,10 +414,13 @@ def _round(
       of the fragments, so the first cell holds only vertices of least
       degree.  p has degree |S|, and a parent vertex gains one only if it
       is in S, so |S| is at most cap = low + 1, and a set of size cap must
-      hold must; both are applied before any alpha scan.  The sizes stop at
+      hold must: the last step to cap adds to a set only the one vertex of
+      must it lacks, and nothing when it lacks two.  The sizes stop at
       cap, or sooner when the edge budget or the sets run out: l - 1 is
       below cap only when no vertex is eligible.  The empty parent has
-      low = -1, so it admits only the empty set.
+      low = -1, so it admits only the empty set.  The refinement stops as
+      soon as p leaves the first cell, so a dropped child is seldom
+      refined in full.
 
     counter counts the children built, those that pass the alpha test.
     Dropping p when it is not in the first cell loses no class.  Take any
@@ -424,7 +446,9 @@ def _round(
     to None for a child dropped by the first-cell rule, and canon maps the
     children that shared a bucket to their canonical keys, so a replayed
     round neither refines nor keys a child twice.  Both are shared by
-    every round of one search.
+    every round of one search.  A child refined just now hands its
+    equitable partition to canonical_key, which then skips its own root
+    refinement; the partitions of bucket representatives are not kept.
     """
     kmax = l - 1
     states: list[tuple[tuple[int, ...], int]] = [((), 0)]
@@ -433,29 +457,48 @@ def _round(
         below = (1 << p) - 1
         nxt: list[tuple[tuple[int, ...], int]] = []
         buckets: dict[int, list[tuple[int, ...]]] = {}  # quotient hash -> one child per class
-        for rows, ap in states:
+        states.reverse()
+        while states:
+            # popped, so that each parent's state is freed once its children are built
+            rows, mis = states.pop()
+            ap = mis.bit_count()
             degs = [row.bit_count() for row in rows]
             edges = sum(degs) // 2
             low = min(degs, default=-1)
             cap = low + 1
             must = 0
-            # eligible vertices, each with the mask of its open twin just below, or 0
-            elig = []
+            # eligible vertex -> the mask of its open twin just below, or 0
+            elig: dict[int, int] = {}
             last: dict[int, int] = {}
             for v, d in enumerate(degs):
                 if d == low:
                     must |= 1 << v
                 if d < kmax:
-                    elig.append((v, last.get(rows[v], 0)))
+                    elig[v] = last.get(rows[v], 0)
                     last[rows[v]] = 1 << v
+            found = [mis]  # independent ap-sets of the parent
             level = [0]
+            met = [False]  # met[i]: level[i] meets every independent ap-set
             size = 0
             while edges + size + floors[rem] <= t:
-                if size == cap:
-                    level = [smask for smask in level if smask & must == must]
-                for smask in level:
-                    a2 = 1 + _alpha_scan(rows, below & ~smask, ap - 1, kmax)
-                    if a2 >= l:
+                for i, smask in enumerate(level):
+                    grown = None  # an independent ap-set of the parent that misses S
+                    if not met[i]:
+                        for ind in found:
+                            if not ind & smask:
+                                grown = ind
+                                break
+                        else:
+                            grown = _independent_set(rows, below & ~smask, ap)
+                            if grown is None:
+                                met[i] = True
+                            else:
+                                found.append(grown)
+                    if grown is None:
+                        child_mis = mis
+                    elif ap < kmax:
+                        child_mis = grown | 1 << p
+                    else:
                         continue
                     counter[0] += 1
                     if counter[0] > budget:
@@ -467,19 +510,24 @@ def _round(
                         child[v] |= 1 << p
                     child.append(smask)
                     labelled = tuple(child)
+                    cells = None
                     if labelled in keys:
                         quot = keys[labelled]
                     else:
                         cells = [list(range(p + 1))]
-                        _refine(child, cells, [(1 << p + 1) - 1])
-                        quot = keys[labelled] = _quotient(child, cells) if p in cells[0] else None
+                        if _refine(child, cells, [(1 << p + 1) - 1], p):
+                            quot = keys[labelled] = _quotient(child, cells)
+                        else:
+                            quot = keys[labelled] = None
                     if quot is None:
                         continue
                     reps = buckets.get(quot)
                     if reps is None:
                         buckets[quot] = [labelled]
                     else:
-                        for g in (labelled, *reps):
+                        if labelled not in canon:
+                            canon[labelled] = canonical_key(labelled, p + 1, cells)
+                        for g in reps:
                             if g not in canon:
                                 canon[g] = canonical_key(g, p + 1)
                         key = canon[labelled]
@@ -487,20 +535,32 @@ def _round(
                             continue
                         reps.append(labelled)
                     if rem:
-                        nxt.append((labelled, a2))
+                        nxt.append((labelled, child_mis))
                     else:
                         yield labelled
                 if size == cap:
                     break
                 bigger = []
-                for smask in level:
+                bigger_met = []
+                for smask, hit in zip(level, met):
                     start = smask.bit_length()
-                    for v, twin in elig:
+                    cands = elig.items()
+                    if size + 1 == cap:
+                        # a set of size cap holds must: add the one vertex it lacks, if one
+                        lack = must & ~smask
+                        if lack:
+                            v = lack.bit_length() - 1
+                            if lack != 1 << v or v not in elig:
+                                continue
+                            cands = ((v, elig[v]),)
+                    for v, twin in cands:
                         if v >= start and rows[v] & smask == 0 and smask & twin == twin:
                             bigger.append(smask | (1 << v))
+                            bigger_met.append(hit)
                 if not bigger:
                     break
                 level = bigger
+                met = bigger_met
                 size += 1
         states = nxt
 

@@ -222,24 +222,23 @@ class TestAlphaScan:
     @settings(max_examples=300, deadline=None)
     @given(g=graphs(12), data=st.data())
     def test_restricted_scan_matches_brute_force(self, g, data):
-        # the search scans the parent outside a child's neighbourhood, starting
-        # from the parent's alpha minus one; best may be -1 at the empty parent.
-        # With stop the scan is exact below stop and at least stop otherwise
+        # the search asks for an independent set of the parent's alpha outside
+        # a child's neighbourhood: the scan returns one of exactly k vertices
+        # inside avail, or None exactly when avail holds no such set
         avail = data.draw(st.integers(0, (1 << g.n) - 1))
-        best = data.draw(st.integers(-1, 12))
-        stop = data.draw(st.none() | st.integers(0, g.n + 1))
-        result = oracle._alpha_scan(g.adj, avail, best, stop)
-        want = max(best, brute_alpha(induced(g, avail)))
-        if stop is None:
-            assert result == want
+        k = data.draw(st.integers(0, g.n + 1))
+        found = oracle._independent_set(g.adj, avail, k)
+        if brute_alpha(induced(g, avail)) < k:
+            assert found is None
         else:
-            assert min(result, stop) == min(want, stop)
+            assert found is not None and found.bit_count() == k and found & ~avail == 0
+            assert all(not g.adj[v] & found for v in range(g.n) if found >> v & 1)
 
-    def test_scan_returns_once_the_incumbent_reaches_stop(self):
-        # a path with its middle vertex lowest: the first branch takes the
-        # middle, an independent set of one, and alpha is 2
+    def test_scan_returns_the_first_set_it_finds(self):
+        # a path with its middle vertex lowest: one vertex is the middle, and
+        # two must skip it
         path = [0b110, 0b001, 0b001]
-        assert [oracle._alpha_scan(path, None, 0, stop) for stop in (None, 3, 2, 1)] == [2, 2, 2, 1]
+        assert [oracle._independent_set(path, 0b111, k) for k in range(4)] == [0, 0b001, 0b110, None]
 
 
 def equitable(adj):
@@ -271,6 +270,26 @@ class TestLeastInvariant:
     def test_first_cell_holds_only_least_degree(self, g):
         degs = g.degrees()
         assert {degs[v] for v in first_cell(g.adj)} <= {min(degs, default=0)}
+
+
+class TestFirstCellTest:
+    # the search refines a child only until its new vertex leaves the first cell
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(12).filter(lambda g: g.n), data=st.data())
+    def test_early_stop_agrees_with_the_full_refinement(self, g, data):
+        v = data.draw(st.integers(0, g.n - 1))
+        full = equitable(g.adj)
+        cells = [list(range(g.n))]
+        kept = oracle._refine(g.adj, cells, [(1 << g.n) - 1], v)
+        assert kept == (v in full[0])
+        if kept:
+            assert cells == full
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(12))
+    def test_key_from_the_refined_partition(self, g):
+        assert canonical_key(g.adj, g.n, equitable(g.adj)) == canonical_key(g.adj, g.n)
 
 
 class TestQuotient:
@@ -331,14 +350,39 @@ class TestExhaustive:
         calls = []
         original = oracle.canonical_key
 
-        def counted(adj, n):
+        def counted(adj, n, cells=None):
             calls.append(n)
-            return original(adj, n)
+            return original(adj, n, cells)
 
         monkeypatch.setattr(oracle, "canonical_key", counted)
         clear_cache()
         res = min_edges_exhaustive(l, n)
         assert (res.value, res.nodes, len(calls), write_graph6(res.witness)) == (value, nodes, keyed, graph6)
+
+    def test_cold_search_work_pinned(self, monkeypatch):
+        # cold (6, 11) of the test above: the independent-set scans (children
+        # whose neighbourhood meets every set the parent has found), the
+        # first-cell tests and those among them that stop before the partition
+        # is equitable.  A change that stops reusing found sets, or that
+        # refines a dropped child in full, moves these counts
+        scans, tests = [], []
+        scan, refine = oracle._independent_set, oracle._refine
+
+        def counted_scan(adj, avail, k):
+            scans.append(k)
+            return scan(adj, avail, k)
+
+        def counted_refine(adj, cells, queue, vertex=None):
+            kept = refine(adj, cells, queue, vertex)
+            if vertex is not None:
+                tests.append(kept)
+            return kept
+
+        monkeypatch.setattr(oracle, "_independent_set", counted_scan)
+        monkeypatch.setattr(oracle, "_refine", counted_refine)
+        clear_cache()
+        res = min_edges_exhaustive(6, 11)
+        assert (res.nodes, len(scans), len(tests), tests.count(False)) == (1593, 739, 833, 342)
 
     @pytest.mark.parametrize("l, n", [(6, 11), (7, 12), (4, 8), (5, 10), (8, 13)])
     def test_keying_every_child_changes_nothing(self, monkeypatch, l, n):
